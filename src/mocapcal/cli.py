@@ -25,11 +25,11 @@ from .errors import (
     InsufficientConsensusError,
     ParseError,
 )
-from .geometry import RigidTransform, nearest_rotation, rotation_geodesic_deg
+from .geometry import RigidTransform, rotation_geodesic_deg
 from .pipeline import calibrate, compute_mpjpe
 from .ransac import RansacConfig
 from .refine import RefineConfig
-from .session_io import load_report, load_session, save_report, save_session
+from .session_io import load_report, load_session, parse_extrinsic, save_report, save_session
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -141,16 +141,14 @@ def _parse_extrinsic(text: str) -> RigidTransform:
             "(row-major rotation then translation)"
         )
     try:
-        values = np.array([float(p) for p in parts])
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ParseError(f"--extrinsic contains a non-number: {exc}") from exc
-    rot = values[:9].reshape(3, 3)
-    drift = float(np.abs(rot @ rot.T - np.eye(3)).max())
-    if drift > 1e-6:
-        raise ParseError(f"--extrinsic rotation drift {drift:.3e} exceeds 1e-6")
-    if drift > 1e-9:
-        rot = nearest_rotation(rot)
-    return RigidTransform(rotation=rot, translation=values[9:])
+    warnings: list[str] = []
+    transform = parse_extrinsic(values, "--extrinsic", warnings)
+    for warning in warnings:
+        print(f"mocapcal: warning: {warning}", file=sys.stderr)
+    return transform
 
 
 def _cmd_eval(args) -> int:

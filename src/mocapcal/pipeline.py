@@ -3,9 +3,10 @@
 ``calibrate`` wires the stages together: a RANSAC search over minimal
 samples initializes the MoCap-to-world transform, its stride-1 inliers
 feed the gradient refinement, and the refined pose is accepted only when
-it does not worsen the full-set mean reprojection error. The returned
-report captures the estimate, quality metrics, optional ground-truth
-errors, timing, and an echo of the configuration for reproducibility.
+it does not worsen the full-set mean reprojection error. Each pose is
+evaluated in one pass over the stride-1 blocks. The report holds the
+estimate, quality metrics, optional ground-truth errors, timing, and an
+echo of the configuration for reproducibility.
 """
 
 from __future__ import annotations
@@ -17,14 +18,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import EmptyActiveSetError
-from .geometry import (
-    EulerPose,
-    RigidTransform,
-    project_points,
-    rotation_geodesic_deg,
-    rotation_to_euler,
-)
-from .ransac import CorrespondenceSet, RansacConfig, count_inliers, run_ransac
+from .geometry import EulerPose, RigidTransform, rotation_geodesic_deg, rotation_to_euler
+from .ransac import CameraBlock, CorrespondenceSet, RansacConfig, _evaluate_block, run_ransac
 from .refine import RefineConfig, refine_pose
 
 
@@ -67,6 +62,24 @@ class CalibrationReport:
     warnings: tuple[str, ...] = ()
 
 
+def _evaluate(
+    blocks: Sequence[CameraBlock], transform: RigidTransform, tau: Optional[float] = None
+) -> tuple[float, int, Optional[np.ndarray]]:
+    """One pass of ``transform``: MPJPE, positive-depth count, inlier ids if ``tau``."""
+    total = 0.0
+    count = 0
+    id_chunks = []
+    for block in blocks:
+        norms, front, kept = _evaluate_block(block, transform, tau)
+        total += float(norms[front].sum())
+        count += int(np.count_nonzero(front))
+        if kept is not None:
+            id_chunks.append(block.entry_ids[kept])
+    if count == 0:
+        raise EmptyActiveSetError("no valid positive-depth correspondence to average")
+    return total / count, count, np.concatenate(id_chunks) if id_chunks else None
+
+
 def compute_mpjpe(
     cset: CorrespondenceSet,
     transform: RigidTransform,
@@ -78,28 +91,7 @@ def compute_mpjpe(
     entry whose depth under ``transform`` is strictly positive. Raises
     :class:`EmptyActiveSetError` when no entry contributes.
     """
-    total = 0.0
-    count = 0
-    for block in cset.camera_blocks(stride=1, restrict_to=restrict_to):
-        pixels, depths = project_points(block.camera, transform, block.points3d)
-        front = depths > 0.0
-        if not np.any(front):
-            continue
-        diff = pixels[front] - block.points2d[front]
-        norms = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
-        total += float(norms.sum())
-        count += int(norms.size)
-    if count == 0:
-        raise EmptyActiveSetError("no valid positive-depth correspondence to average")
-    return total / count
-
-
-def _count_positive_depth(cset: CorrespondenceSet, transform: RigidTransform) -> int:
-    count = 0
-    for block in cset.camera_blocks(stride=1):
-        _, depths = project_points(block.camera, transform, block.points3d)
-        count += int(np.count_nonzero(depths > 0.0))
-    return count
+    return _evaluate(cset.camera_blocks(stride=1, restrict_to=restrict_to), transform)[0]
 
 
 def calibrate(
@@ -112,11 +104,13 @@ def calibrate(
 ) -> CalibrationReport:
     """Estimate the MoCap-to-world transform and report on the run.
 
-    The search scores hypotheses at ``ransac_cfg.coarse_stride``; the
-    winner's inliers are recomputed at stride 1 and, when
+    The search scores hypotheses at ``ransac_cfg.coarse_stride``. Then each
+    pose (initial, refined, ground truth) is evaluated in one pass over the
+    stride-1 blocks; the initial pass also gives the inliers that, when
     ``refine_cfg.inliers_only`` is set, restrict the refinement. If
-    refinement worsens the stride-1 mean reprojection error over all
-    valid entries, the initial estimate is kept and the report says so.
+    refinement worsens the stride-1 mean reprojection error over all valid
+    entries, the initial estimate and its positive-depth count are kept and
+    the report says so.
 
     Ground-truth errors and ``mpjpe_gt`` are filled in when
     ``gt_extrinsic`` is given. Timing excludes I/O performed by callers.
@@ -125,28 +119,25 @@ def calibrate(
     hypothesis = run_ransac(cset, ransac_cfg, workers=workers)
     t_ransac = time.perf_counter()
 
-    mpjpe_init = compute_mpjpe(cset, hypothesis.transform)
-    full_inliers = count_inliers(cset, hypothesis.transform, ransac_cfg.tau, stride=1)
-    restrict = full_inliers.ids if refine_cfg.inliers_only else None
+    init = _evaluate(cset.camera_blocks(stride=1), hypothesis.transform, ransac_cfg.tau)
+    mpjpe_init, init_depth, inlier_ids = init
+    restrict = inlier_ids if refine_cfg.inliers_only else None
     refined, _ = refine_pose(cset, hypothesis.transform, refine_cfg, restrict_to=restrict)
-    mpjpe_refined = compute_mpjpe(cset, refined)
+    # Built again, not held: held through refinement they cost it page faults per step.
+    blocks = cset.camera_blocks(stride=1)
+    mpjpe_refined, positive_depth, _ = _evaluate(blocks, refined)
 
     rejected = bool(mpjpe_refined > mpjpe_init)
+    final = refined
     if rejected:
-        final = hypothesis.transform
-        mpjpe_refined = mpjpe_init
-    else:
-        final = refined
+        final, mpjpe_refined, positive_depth = hypothesis.transform, mpjpe_init, init_depth
     t_refine = time.perf_counter()
-
-    n_scored = int(np.count_nonzero(cset.selection_mask(stride=ransac_cfg.coarse_stride)))
-    inlier_ratio = hypothesis.inlier_count / n_scored
 
     mpjpe_gt = None
     rot_err = None
     trans_err = None
     if gt_extrinsic is not None:
-        mpjpe_gt = compute_mpjpe(cset, gt_extrinsic)
+        mpjpe_gt = _evaluate(blocks, gt_extrinsic)[0]
         rot_err = rotation_geodesic_deg(final.rotation, gt_extrinsic.rotation)
         trans_err = float(np.linalg.norm(final.translation - gt_extrinsic.translation))
 
@@ -154,7 +145,7 @@ def calibrate(
     counts = CorrespondenceCounts(
         total=cset.n_entries,
         valid=int(np.count_nonzero(cset.valid)),
-        positive_depth=_count_positive_depth(cset, final),
+        positive_depth=positive_depth,
     )
     t_end = time.perf_counter()
     n_frames = cset.dims[2]
@@ -172,7 +163,7 @@ def calibrate(
         mpjpe_gt=mpjpe_gt,
         gt_rotation_err_deg=rot_err,
         gt_translation_err_m=trans_err,
-        inlier_ratio=inlier_ratio,
+        inlier_ratio=hypothesis.inlier_ratio,
         inlier_count=hypothesis.inlier_count,
         refinement_rejected=rejected,
         correspondence_counts=counts,

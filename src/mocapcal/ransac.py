@@ -5,6 +5,8 @@ one pixel detection in one camera. The sampler draws minimal samples of
 three joints seen by a single camera in a single frame, solves the
 three-point pose problem, and scores each hypothesis by counting
 reprojection inliers over a frame-strided subset of the data.
+``_evaluate_block`` alone decides what is in front of a camera and what
+is an inlier; scoring and the stride-1 evaluation reduce what it returns.
 
 The search is embarrassingly parallel. Each iteration seeds its own RNG
 substream from ``(seed, iteration)``, so results are bit-identical no
@@ -239,25 +241,29 @@ class InlierCount(NamedTuple):
     mean_residual: float
 
 
+def _evaluate_block(
+    block: CameraBlock, transform: RigidTransform, tau: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Residual norms, positive-depth mask and, given ``tau``, inlier positions."""
+    pixels, depths = project_points(block.camera, transform, block.points3d)
+    diff = pixels - block.points2d
+    with np.errstate(invalid="ignore", over="ignore"):
+        norms = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
+        front = depths > 0.0
+        if tau is None:
+            return norms, front, None
+        return norms, front, np.flatnonzero(front & np.isfinite(norms) & (norms < tau))
+
+
 def _score_blocks(
     blocks: Sequence[CameraBlock], transform: RigidTransform, tau: float
 ) -> tuple[int, float, list[np.ndarray]]:
-    """Count inliers over prebuilt camera blocks.
-
-    An entry is an inlier when its depth is strictly positive and its
-    residual norm is strictly below ``tau``. Entries at or beyond the
-    threshold, behind the camera, or without a finite projection are out.
-    """
+    """Inlier count, mean inlier residual and inlier id chunks over blocks."""
     total = 0
     res_sum = 0.0
     id_chunks: list[np.ndarray] = []
     for block in blocks:
-        pixels, depths = project_points(block.camera, transform, block.points3d)
-        diff = pixels - block.points2d
-        with np.errstate(invalid="ignore", over="ignore"):
-            norms = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
-            keep = (depths > 0.0) & np.isfinite(norms) & (norms < tau)
-        kept = np.flatnonzero(keep)
+        norms, _, kept = _evaluate_block(block, transform, tau)
         if kept.size:
             total += int(kept.size)
             res_sum += float(norms[kept].sum())
@@ -314,6 +320,7 @@ class Hypothesis:
 
     transform: RigidTransform
     inlier_count: int
+    inlier_ratio: float  # inlier_count over the number of scored entries
     mean_inlier_residual: float
     source: tuple[int, int]
 
@@ -436,5 +443,5 @@ def run_ransac(
             f"below the required {cfg.min_inlier_ratio:.3f}"
         )
     return Hypothesis(
-        transform=pose, inlier_count=count, mean_inlier_residual=mean, source=(k, l)
+        pose, inlier_count=count, inlier_ratio=ratio, mean_inlier_residual=mean, source=(k, l)
     )

@@ -9,7 +9,7 @@ apart from timing.
 
 Loaders are strict: shape disagreements, unsupported versions, and
 non-finite numbers each raise a dedicated error naming the offending
-field. Camera rotations with tiny orthonormality drift (at most 1e-6)
+field. Rotations with tiny orthonormality drift (at most 1e-6)
 are projected back onto the rotation group and reported as warnings
 instead of failing the load.
 """
@@ -105,6 +105,25 @@ def _checked_rotation(raw: np.ndarray, name: str, warnings: list[str]) -> np.nda
     raise ParseError(f"{name} is not a rotation (orthonormality drift {drift:.3e})")
 
 
+def parse_extrinsic(
+    values, name: str, warnings: list[str], scale: float = 1.0
+) -> RigidTransform:
+    """Transform from 12 finite numbers: row-major rotation, then translation."""
+    raw = _as_float_array(values, (12,), name)
+    rot = _checked_rotation(raw[:9].reshape(3, 3), f"{name} rotation", warnings)
+    return RigidTransform(rotation=rot, translation=raw[9:] * scale)
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+
+
 def _parse_camera(raw, index: int, scale: float, warnings: list[str]) -> CameraModel:
     name = f"cameras[{index}]"
     if not isinstance(raw, dict):
@@ -140,13 +159,7 @@ def load_session(path: str) -> SessionData:
     validity flag is 1; rows flagged 0 carry no information beyond their
     absence. Lengths in millimeters are converted to meters.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError("session document must be a JSON object")
     version = _require(doc, "format_version", "session")
@@ -193,11 +206,8 @@ def load_session(path: str) -> SessionData:
         loc = "".join(f"[{int(v)}]" for v in idx)
         raise ParseError(f"keypoints2d{loc}[2] must be 0 or 1, got {validity[tuple(idx)]}")
 
-    gt = None
-    if doc.get("gt_extrinsic") is not None:
-        raw_gt = _as_float_array(doc["gt_extrinsic"], (12,), "gt_extrinsic")
-        rot = _checked_rotation(raw_gt[:9].reshape(3, 3), "gt_extrinsic rotation", warnings)
-        gt = RigidTransform(rotation=rot, translation=raw_gt[9:] * scale)
+    raw_gt = doc.get("gt_extrinsic")
+    gt = None if raw_gt is None else parse_extrinsic(raw_gt, "gt_extrinsic", warnings, scale)
 
     cam_idx, frame_idx, joint_idx = np.nonzero(validity == 1.0)
     cset = CorrespondenceSet(
@@ -380,11 +390,4 @@ def save_report(report: CalibrationReport, path: str) -> None:
 
 def load_report(path: str) -> CalibrationReport:
     """Read a report file back; floats round-trip exactly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    return report_from_dict(doc)
+    return report_from_dict(_load_json(path))

@@ -152,12 +152,19 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "consensus" in result.stderr
 
-    def test_non_rotation_extrinsic_is_input_error(self, clean_session_file):
-        result = run_cli(
-            "eval", "--session", clean_session_file,
-            "--extrinsic", "1 0.5 0 0 1 0 0 0 1 0 0 0",
-        )
+    @pytest.mark.parametrize(
+        "extrinsic",
+        [
+            "1 0.5 0 0 1 0 0 0 1 0 0 0",
+            "1 0 0 0 1 0 0 0 -1 0 0 0",
+            "1 0 0 0 1 0 0 0 1 0 nan 0",
+        ],
+        ids=["non-orthonormal", "reflection", "nan-translation"],
+    )
+    def test_non_rotation_extrinsic_is_input_error(self, clean_session_file, extrinsic):
+        result = run_cli("eval", "--session", clean_session_file, "--extrinsic", extrinsic)
         assert result.returncode == 3
+        assert "input error" in result.stderr
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import mocapcal.pipeline
 from mocapcal import (
+    CorrespondenceSet,
     EmptyActiveSetError,
     NoValidSampleError,
     RansacConfig,
@@ -9,8 +11,11 @@ from mocapcal import (
     RigidTransform,
     calibrate,
     compute_mpjpe,
+    count_inliers,
     project,
+    residual,
     rotation_geodesic_deg,
+    run_ransac,
 )
 from mocapcal.session_io import report_to_dict
 from mocapcal.synth import SynthConfig, generate
@@ -150,3 +155,107 @@ class TestCalibrate:
         assert abs(report.gt_rotation_err_deg - rot_err) < 1e-12
         assert abs(report.gt_translation_err_m - trans_err) < 1e-12
         assert abs(report.mpjpe_gt - compute_mpjpe(session.correspondences, gt)) < 1e-12
+
+
+def session_with_entries_behind_camera():
+    """Two cameras, invalid entries, outliers, and 20 entries behind camera 1."""
+    session = generate(
+        SynthConfig(
+            n_cameras=2, n_frames=60, noise_sigma=2.0, outlier_fraction=0.2,
+            invalid_fraction=0.1, seed=3,
+        )
+    )
+    base, gt = session.correspondences, session.gt_extrinsic
+    cam = base.cameras[1]
+    rng = np.random.default_rng(0)
+    n_extra = 20
+    world = -1.5 * cam.rotation.T @ cam.translation + rng.normal(scale=0.1, size=(n_extra, 3))
+    cset = CorrespondenceSet(
+        base.cameras,
+        np.concatenate([base.cam_indices, np.ones(n_extra, dtype=np.int64)]),
+        np.concatenate([base.joint_indices, np.zeros(n_extra, dtype=np.int64)]),
+        np.concatenate([base.frame_indices, rng.integers(0, base.dims[2], n_extra)]),
+        np.concatenate([base.points3d, (world - gt.translation) @ gt.rotation]),
+        np.concatenate([base.points2d, rng.uniform(0.0, 700.0, (n_extra, 2))]),
+        np.concatenate([base.valid, np.ones(n_extra, dtype=bool)]),
+        base.dims,
+    )
+    return cset, gt
+
+
+def scalar_residuals(cset, transform, stride=1, restrict_to=None):
+    """Entry id -> residual norm for selected entries in front of their camera."""
+    norms = {}
+    for i in np.flatnonzero(cset.selection_mask(stride, restrict_to)):
+        corr = cset.entry(i)
+        res, depth = residual(corr, cset.cameras[corr.cam_index], transform)
+        if depth > 0.0:
+            norms[int(i)] = float(np.hypot(res[0], res[1]))
+    return norms
+
+
+class TestEvaluationAgainstScalarReference:
+    TAU = 6.0
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        cset, gt = session_with_entries_behind_camera()
+        shifted = RigidTransform(gt.rotation, gt.translation + np.array([2.5, 0.0, 0.0]))
+        return cset, gt, shifted
+
+    def test_the_data_exercises_every_gate(self, data):
+        cset, gt, shifted = data
+        norms = scalar_residuals(cset, gt)
+        assert np.count_nonzero(~cset.valid) > 0
+        assert len(norms) < np.count_nonzero(cset.valid)
+        assert any(n >= self.TAU for n in norms.values())
+        assert len(scalar_residuals(cset, shifted)) != len(norms)
+
+    @pytest.mark.parametrize("stride, restricted", [(1, False), (3, False), (1, True)])
+    def test_mpjpe_and_inliers_match(self, data, stride, restricted):
+        cset, gt, shifted = data
+        restrict = np.arange(0, cset.n_entries, 2) if restricted else None
+        for transform in (gt, shifted):
+            norms = scalar_residuals(cset, transform, stride, restrict)
+            if stride == 1:
+                expected = sum(norms.values()) / len(norms)
+                got = compute_mpjpe(cset, transform, restrict_to=restrict)
+                assert got == pytest.approx(expected, rel=1e-12)
+            inliers = {i: n for i, n in norms.items() if n < self.TAU}
+            result = count_inliers(cset, transform, self.TAU, stride=stride, restrict_to=restrict)
+            np.testing.assert_array_equal(result.ids, sorted(inliers))
+            expected_mean = sum(inliers.values()) / len(inliers) if inliers else 0.0
+            assert result.mean_residual == pytest.approx(expected_mean, rel=1e-12)
+
+    def test_positive_depth_counts_the_reported_pose(self, data):
+        cset, _, _ = data
+        report = calibrate(
+            cset,
+            RansacConfig(tau=self.TAU, iterations=200, coarse_stride=2),
+            RefineConfig(steps=100, fine_stride=1),
+        )
+        assert not report.refinement_rejected
+        expected = scalar_residuals(cset, report.transform)
+        assert report.correspondence_counts.positive_depth == len(expected)
+        assert report.mpjpe_refined == pytest.approx(
+            sum(expected.values()) / len(expected), rel=1e-12
+        )
+
+    def test_rejected_refinement_counts_the_initial_pose(self, data, monkeypatch):
+        cset, _, _ = data
+        ransac_cfg = RansacConfig(tau=self.TAU, iterations=200, coarse_stride=2)
+        init = run_ransac(cset, ransac_cfg).transform
+        worse = RigidTransform(init.rotation, init.translation + np.array([2.5, 0.0, 0.0]))
+        monkeypatch.setattr(
+            mocapcal.pipeline, "refine_pose", lambda *args, **kwargs: (worse, np.zeros(1))
+        )
+        report = calibrate(cset, ransac_cfg, RefineConfig(steps=1))
+        assert report.refinement_rejected
+        np.testing.assert_array_equal(report.transform.rotation, init.rotation)
+        np.testing.assert_array_equal(report.transform.translation, init.translation)
+        at_init = scalar_residuals(cset, init)
+        assert len(scalar_residuals(cset, worse)) != len(at_init)
+        assert report.correspondence_counts.positive_depth == len(at_init)
+        assert report.mpjpe_init == pytest.approx(
+            sum(at_init.values()) / len(at_init), rel=1e-12
+        )
