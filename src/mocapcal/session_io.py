@@ -17,7 +17,7 @@ instead of failing the load.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -271,40 +271,58 @@ def save_session(
         fh.write("\n")
 
 
+def _optional_float(value) -> Optional[float]:
+    return None if value is None else float(value)
+
+
+def _as_is(value):
+    return value
+
+
+# Report fields after rotation and translation, in saved key order:
+# (JSON key, report attribute, type). A group's type is (field names, field
+# type), and the group is saved as an object of those attributes.
+_REPORT_FIELDS = (
+    ("euler_zyx", "euler", (("alpha", "beta", "gamma"), float)),
+    ("mpjpe_init_px", "mpjpe_init", float),
+    ("mpjpe_refined_px", "mpjpe_refined", float),
+    ("mpjpe_gt_px", "mpjpe_gt", _optional_float),
+    ("gt_rotation_err_deg", "gt_rotation_err_deg", _optional_float),
+    ("gt_translation_err_m", "gt_translation_err_m", _optional_float),
+    ("inlier_ratio", "inlier_ratio", float),
+    ("inlier_count", "inlier_count", int),
+    ("refinement_rejected", "refinement_rejected", bool),
+    ("correspondence_counts", "correspondence_counts", (CorrespondenceCounts._fields, int)),
+    ("timing", "timing", (tuple(f.name for f in fields(Timing)), float)),
+    ("config", "config_echo", _as_is),
+    ("seed", "seed", int),
+    ("warnings", "warnings", tuple),
+)
+
+# Keys a report may omit, and the value read in their place.
+_REPORT_DEFAULTS = {
+    "mpjpe_gt_px": None,
+    "gt_rotation_err_deg": None,
+    "gt_translation_err_m": None,
+    "warnings": (),
+}
+
+
 def report_to_dict(report: CalibrationReport) -> dict:
     """Flatten a report into a JSON-ready dict with stable key order."""
-    return {
+    doc = {
         "format_version": FORMAT_VERSION,
         "rotation": report.transform.rotation.ravel().tolist(),
         "translation": report.transform.translation.tolist(),
-        "euler_zyx": {
-            "alpha": report.euler.alpha,
-            "beta": report.euler.beta,
-            "gamma": report.euler.gamma,
-        },
-        "mpjpe_init_px": report.mpjpe_init,
-        "mpjpe_refined_px": report.mpjpe_refined,
-        "mpjpe_gt_px": report.mpjpe_gt,
-        "gt_rotation_err_deg": report.gt_rotation_err_deg,
-        "gt_translation_err_m": report.gt_translation_err_m,
-        "inlier_ratio": report.inlier_ratio,
-        "inlier_count": report.inlier_count,
-        "refinement_rejected": report.refinement_rejected,
-        "correspondence_counts": {
-            "total": report.correspondence_counts.total,
-            "valid": report.correspondence_counts.valid,
-            "positive_depth": report.correspondence_counts.positive_depth,
-        },
-        "timing": {
-            "ransac_ms": report.timing.ransac_ms,
-            "refine_ms": report.timing.refine_ms,
-            "total_ms": report.timing.total_ms,
-            "ms_per_frame": report.timing.ms_per_frame,
-        },
-        "config": report.config_echo,
-        "seed": report.seed,
-        "warnings": list(report.warnings),
     }
+    for key, attr, kind in _REPORT_FIELDS:
+        value = getattr(report, attr)
+        if isinstance(kind, tuple):
+            value = {name: getattr(value, name) for name in kind[0]}
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[key] = value
+    return doc
 
 
 def report_from_dict(doc: dict) -> CalibrationReport:
@@ -320,62 +338,28 @@ def report_from_dict(doc: dict) -> CalibrationReport:
     drift_warnings: list[str] = []
     rot = _checked_rotation(rot, "report rotation", drift_warnings)
     trans = _as_float_array(_require(doc, "translation", "report"), (3,), "translation")
-    euler = _require(doc, "euler_zyx", "report")
-    if not isinstance(euler, dict):
+    raw = {
+        attr: doc.get(key, _REPORT_DEFAULTS[key])
+        if key in _REPORT_DEFAULTS
+        else _require(doc, key, "report")
+        for key, attr, _ in _REPORT_FIELDS
+    }
+    if not isinstance(raw["euler"], dict):
         raise ParseError("euler_zyx must be an object")
-    counts = _require(doc, "correspondence_counts", "report")
-    timing = _require(doc, "timing", "report")
-    for name in (
-        "mpjpe_init_px",
-        "mpjpe_refined_px",
-        "inlier_ratio",
-        "inlier_count",
-        "refinement_rejected",
-        "config",
-        "seed",
-    ):
-        _require(doc, name, "report")
     try:
+        values = {}
+        for key, attr, kind in _REPORT_FIELDS:
+            if isinstance(kind, tuple):
+                names, field_type = kind
+                values[attr] = [field_type(_require(raw[attr], name, key)) for name in names]
+            else:
+                values[attr] = kind(raw[attr])
         return CalibrationReport(
             transform=RigidTransform(rotation=rot, translation=trans),
-            euler=EulerPose(
-                float(_require(euler, "alpha", "euler_zyx")),
-                float(_require(euler, "beta", "euler_zyx")),
-                float(_require(euler, "gamma", "euler_zyx")),
-                trans,
-            ),
-            mpjpe_init=float(doc["mpjpe_init_px"]),
-            mpjpe_refined=float(doc["mpjpe_refined_px"]),
-            mpjpe_gt=None if doc.get("mpjpe_gt_px") is None else float(doc["mpjpe_gt_px"]),
-            gt_rotation_err_deg=(
-                None
-                if doc.get("gt_rotation_err_deg") is None
-                else float(doc["gt_rotation_err_deg"])
-            ),
-            gt_translation_err_m=(
-                None
-                if doc.get("gt_translation_err_m") is None
-                else float(doc["gt_translation_err_m"])
-            ),
-            inlier_ratio=float(doc["inlier_ratio"]),
-            inlier_count=int(doc["inlier_count"]),
-            refinement_rejected=bool(doc["refinement_rejected"]),
-            correspondence_counts=CorrespondenceCounts(
-                total=int(_require(counts, "total", "correspondence_counts")),
-                valid=int(_require(counts, "valid", "correspondence_counts")),
-                positive_depth=int(
-                    _require(counts, "positive_depth", "correspondence_counts")
-                ),
-            ),
-            timing=Timing(
-                ransac_ms=float(_require(timing, "ransac_ms", "timing")),
-                refine_ms=float(_require(timing, "refine_ms", "timing")),
-                total_ms=float(_require(timing, "total_ms", "timing")),
-                ms_per_frame=float(_require(timing, "ms_per_frame", "timing")),
-            ),
-            config_echo=doc["config"],
-            seed=int(doc["seed"]),
-            warnings=tuple(doc.get("warnings", ())),
+            euler=EulerPose(*values.pop("euler"), trans),
+            correspondence_counts=CorrespondenceCounts(*values.pop("correspondence_counts")),
+            timing=Timing(*values.pop("timing")),
+            **values,
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"report field has the wrong type: {exc}") from exc

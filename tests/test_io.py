@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -199,3 +200,134 @@ class TestReportRoundTrip:
         write_doc(doc, path)
         with pytest.raises(UnsupportedVersionError):
             load_report(path)
+
+
+REQUIRED_REPORT_KEYS = [
+    "format_version",
+    "rotation",
+    "translation",
+    "euler_zyx",
+    "euler_zyx.alpha",
+    "euler_zyx.beta",
+    "euler_zyx.gamma",
+    "mpjpe_init_px",
+    "mpjpe_refined_px",
+    "inlier_ratio",
+    "inlier_count",
+    "refinement_rejected",
+    "correspondence_counts",
+    "correspondence_counts.total",
+    "correspondence_counts.valid",
+    "correspondence_counts.positive_depth",
+    "timing",
+    "timing.ransac_ms",
+    "timing.refine_ms",
+    "timing.total_ms",
+    "timing.ms_per_frame",
+    "config",
+    "seed",
+]
+
+# Scalars the loader converts, with the builtin that converts them.
+TYPED_REPORT_SCALARS = [
+    ("euler_zyx.alpha", float),
+    ("euler_zyx.beta", float),
+    ("euler_zyx.gamma", float),
+    ("mpjpe_init_px", float),
+    ("mpjpe_refined_px", float),
+    ("mpjpe_gt_px", float),
+    ("gt_rotation_err_deg", float),
+    ("gt_translation_err_m", float),
+    ("inlier_ratio", float),
+    ("inlier_count", int),
+    ("correspondence_counts.total", int),
+    ("correspondence_counts.valid", int),
+    ("correspondence_counts.positive_depth", int),
+    ("timing.ransac_ms", float),
+    ("timing.refine_ms", float),
+    ("timing.total_ms", float),
+    ("timing.ms_per_frame", float),
+    ("seed", int),
+]
+
+OPTIONAL_GT_KEYS = ["mpjpe_gt_px", "gt_rotation_err_deg", "gt_translation_err_m"]
+
+
+@pytest.fixture(scope="module")
+def report_doc():
+    return report_to_dict(make_report())
+
+
+def parent_and_key(doc, path):
+    *groups, key = path.split(".")
+    for group in groups:
+        doc = doc[group]
+    return doc, key
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize("path", REQUIRED_REPORT_KEYS)
+    def test_missing_key_is_named(self, report_doc, path):
+        doc = copy.deepcopy(report_doc)
+        parent, key = parent_and_key(doc, path)
+        del parent[key]
+        context = path.split(".")[0] if "." in path else "report"
+        with pytest.raises(ParseError) as info:
+            report_from_dict(doc)
+        assert type(info.value) is ParseError
+        assert str(info.value) == f"{context} is missing required field '{key}'"
+
+    @pytest.mark.parametrize("bad", [[1.0], "x"], ids=["list", "string"])
+    @pytest.mark.parametrize("path, convert", TYPED_REPORT_SCALARS)
+    def test_wrong_type_is_reported(self, report_doc, path, convert, bad):
+        doc = copy.deepcopy(report_doc)
+        parent, key = parent_and_key(doc, path)
+        parent[key] = bad
+        with pytest.raises((TypeError, ValueError)) as builtin:
+            convert(bad)
+        with pytest.raises(ParseError) as info:
+            report_from_dict(doc)
+        assert type(info.value) is ParseError
+        assert str(info.value) == f"report field has the wrong type: {builtin.value}"
+
+    @pytest.mark.parametrize("group", ["euler_zyx", "correspondence_counts", "timing"])
+    @pytest.mark.parametrize("value", [5, None, [1.0, 2.0]], ids=["int", "null", "list"])
+    def test_group_that_is_not_an_object_is_a_parse_error(self, report_doc, group, value):
+        doc = copy.deepcopy(report_doc)
+        doc[group] = value
+        with pytest.raises(ParseError) as info:
+            report_from_dict(doc)
+        assert type(info.value) is ParseError
+        if group == "euler_zyx":
+            assert str(info.value) == "euler_zyx must be an object"
+
+    @pytest.mark.parametrize("absent", [True, False], ids=["absent", "null"])
+    def test_gt_fields_absent_or_null_read_as_none(self, report_doc, absent):
+        doc = copy.deepcopy(report_doc)
+        for key in OPTIONAL_GT_KEYS:
+            if absent:
+                del doc[key]
+            else:
+                doc[key] = None
+        report = report_from_dict(doc)
+        assert report.mpjpe_gt is None
+        assert report.gt_rotation_err_deg is None
+        assert report.gt_translation_err_m is None
+        assert report_to_dict(report)["mpjpe_gt_px"] is None
+
+    def test_absent_warnings_read_as_empty(self, report_doc):
+        doc = copy.deepcopy(report_doc)
+        del doc["warnings"]
+        assert report_from_dict(doc).warnings == ()
+
+    def test_saved_keys_follow_the_schema_order(self, report_doc):
+        assert list(report_doc) == [
+            "format_version", "rotation", "translation", "euler_zyx",
+            "mpjpe_init_px", "mpjpe_refined_px", "mpjpe_gt_px",
+            "gt_rotation_err_deg", "gt_translation_err_m", "inlier_ratio",
+            "inlier_count", "refinement_rejected", "correspondence_counts",
+            "timing", "config", "seed", "warnings",
+        ]
+        assert list(report_doc["euler_zyx"]) == ["alpha", "beta", "gamma"]
+        assert list(report_doc["correspondence_counts"]) == ["total", "valid", "positive_depth"]
+        assert list(report_doc["timing"]) == ["ransac_ms", "refine_ms", "total_ms", "ms_per_frame"]
