@@ -17,13 +17,24 @@ Sessions:
     machine precision, so refinement is rejected on some of them (seeds 2
     and 3), which covers the branch that reports the initial pose.
 
+``--dump FILE`` also writes every report minus ``timing`` to FILE, keyed by
+session name. ``--against FILE`` compares the reports with such a dump and
+prints each field that differs (dotted path, list items folded into their
+list) with the number of sessions it differs in and its largest absolute
+and relative difference, or ``identical``. A dump written with
+``PYTHONPATH`` pointing at another checkout's ``src/`` shows what a change
+moved in the reports.
+
 Usage:
-    PYTHONPATH=src python3 scripts/report_digest.py
+    PYTHONPATH=src python3 scripts/report_digest.py [--dump FILE] [--against FILE]
 """
 
+import argparse
 import hashlib
 import itertools
 import json
+import math
+import re
 
 from mocapcal import DistortionCoeffs, RansacConfig, RefineConfig, calibrate
 from mocapcal.session_io import report_to_dict
@@ -75,19 +86,73 @@ def clean_runs(n_seeds):
         )
 
 
-def report_digest(report) -> str:
+def report_doc(report) -> dict:
     doc = report_to_dict(report)
     doc.pop("timing")
-    return hashlib.sha256(json.dumps(doc, indent=2).encode("utf-8")).hexdigest()
+    return doc
+
+
+def flatten(value, path=""):
+    """Map each scalar of a JSON value to its path, ``a.b`` for keys, ``a[i]`` for items."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{key}" if path else key, item) for key, item in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+    else:
+        return {path: value}
+    flat = {}
+    for item_path, item in items:
+        flat.update(flatten(item, item_path))
+    return flat
+
+
+def compare(docs: dict, reference: dict) -> list[str]:
+    """One line per differing field: sessions, largest absolute and relative difference.
+
+    A value that is missing on one side or is not a number on both counts
+    as an infinite difference.
+    """
+    fields = {}
+    for name in sorted(set(docs) | set(reference)):
+        ours, theirs = flatten(docs.get(name, {})), flatten(reference.get(name, {}))
+        for path in ours.keys() | theirs.keys():
+            a, b = ours.get(path), theirs.get(path)
+            if type(a) is type(b) and (a == b or a != a and b != b):
+                continue
+            field = fields.setdefault(re.sub(r"\[\d+\]", "", path), [set(), 0.0, 0.0])
+            field[0].add(name)
+            numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+            diff = abs(a - b) if numbers else math.inf
+            scale = max(abs(a), abs(b)) if numbers else 1.0
+            field[1] = max(field[1], diff)
+            field[2] = max(field[2], diff / scale if diff else 0.0)
+    return [
+        f"{path:<24} sessions {len(names):>3}  max_abs {max_abs:.3e}  max_rel {max_rel:.3e}"
+        for path, (names, max_abs, max_rel) in sorted(fields.items())
+    ]
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", metavar="FILE", help="write the reports minus timing here")
+    parser.add_argument("--against", metavar="FILE", help="compare with a --dump file")
+    args = parser.parse_args()
+    docs = {}
     combined = hashlib.sha256()
     for name, cset, kwargs in itertools.chain(sweep_runs(20), mono_runs(3), clean_runs(4)):
-        digest = report_digest(calibrate(cset, workers=1, **kwargs))
+        docs[name] = report_doc(calibrate(cset, workers=1, **kwargs))
+        digest = hashlib.sha256(json.dumps(docs[name], indent=2).encode("utf-8")).hexdigest()
         combined.update(digest.encode("ascii"))
         print(f"{name:<12} {digest}", flush=True)
     print(f"{'combined':<12} {combined.hexdigest()}")
+    if args.dump:
+        with open(args.dump, "w", encoding="utf-8") as fh:
+            json.dump(docs, fh, indent=2)
+            fh.write("\n")
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            lines = compare(docs, json.load(fh))
+        print("\n".join(lines) if lines else "identical")
 
 
 if __name__ == "__main__":

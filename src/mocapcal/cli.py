@@ -131,9 +131,9 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _parse_extrinsic(text: str) -> RigidTransform:
+def _parse_extrinsic(text: str, warnings: list[str]) -> RigidTransform:
     if os.path.exists(text):
-        return load_report(text).transform
+        return load_report(text, warnings).transform
     parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
     if len(parts) != 12:
         raise ParseError(
@@ -144,16 +144,15 @@ def _parse_extrinsic(text: str) -> RigidTransform:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise ParseError(f"--extrinsic contains a non-number: {exc}") from exc
-    warnings: list[str] = []
-    transform = parse_extrinsic(values, "--extrinsic", warnings)
-    for warning in warnings:
-        print(f"mocapcal: warning: {warning}", file=sys.stderr)
-    return transform
+    return parse_extrinsic(values, "--extrinsic", warnings)
 
 
 def _cmd_eval(args) -> int:
     session = load_session(args.session)
-    transform = _parse_extrinsic(args.extrinsic)
+    warnings: list[str] = []
+    transform = _parse_extrinsic(args.extrinsic, warnings)
+    for warning in warnings:
+        print(f"mocapcal: warning: {warning}", file=sys.stderr)
     mpjpe = compute_mpjpe(session.correspondences, transform)
     print(f"mpjpe_px {mpjpe!r}")
     if session.gt_extrinsic is not None:

@@ -11,6 +11,11 @@ Conventions used throughout the package:
   ``R = Rz(gamma) @ Ry(beta) @ Rx(alpha)``.
 * Lens distortion is the Brown-Conrady model ``(k1, k2, p1, p2, k3)``
   applied to normalized image coordinates.
+
+The projection chain lives only here: camera and pose are composed once
+(``R_c R``, ``R_c t + t_c``) and applied to the points, which are then
+divided by depth, distorted and mapped through the intrinsics. Every
+evaluation (via :func:`project_points`) and the refinement run this chain.
 """
 
 from __future__ import annotations
@@ -314,6 +319,28 @@ def distortion_jacobian(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _camera_points(
+    camera: CameraModel, rotation: np.ndarray, translation: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """MoCap-frame points in ``camera``'s frame: camera and pose composed, then applied."""
+    rot = camera.rotation @ rotation
+    trans = camera.rotation @ translation + camera.translation
+    return points @ rot.T + trans
+
+
+def _camera_pixels(camera: CameraModel, cam_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels ``(..., 2)`` and normalized coordinates of camera-frame points.
+
+    Non-finite for points on the principal plane.
+    """
+    z = cam_pts[..., 2]
+    norm = np.stack([cam_pts[..., 0] / z, cam_pts[..., 1] / z], axis=-1)
+    dist = norm if camera.distortion is None else distort_normalized(camera.distortion, norm)
+    u = camera.fx * dist[..., 0] + camera.skew * dist[..., 1] + camera.cx
+    v = camera.fy * dist[..., 1] + camera.cy
+    return np.stack([u, v], axis=-1), norm
+
+
 def project_points(
     camera: CameraModel, transform: RigidTransform, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -324,18 +351,10 @@ def project_points(
     Callers gate on depth.
     """
     pts = np.asarray(points, dtype=np.float64)
-    world = pts @ transform.rotation.T + transform.translation
-    cam_pts = world @ camera.rotation.T + camera.translation
-    depths = cam_pts[..., 2]
+    cam_pts = _camera_points(camera, transform.rotation, transform.translation, pts)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xn = cam_pts[..., 0] / depths
-        yn = cam_pts[..., 1] / depths
-        norm = np.stack([xn, yn], axis=-1)
-        if camera.distortion is not None:
-            norm = distort_normalized(camera.distortion, norm)
-        u = camera.fx * norm[..., 0] + camera.skew * norm[..., 1] + camera.cx
-        v = camera.fy * norm[..., 1] + camera.cy
-    return np.stack([u, v], axis=-1), depths
+        pixels, _ = _camera_pixels(camera, cam_pts)
+    return pixels, cam_pts[..., 2]
 
 
 def project(camera: CameraModel, transform: RigidTransform, point: np.ndarray) -> Projection:

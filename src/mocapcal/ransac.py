@@ -258,18 +258,18 @@ def _evaluate_block(
 def _score_blocks(
     blocks: Sequence[CameraBlock], transform: RigidTransform, tau: float
 ) -> tuple[int, float, list[np.ndarray]]:
-    """Inlier count, mean inlier residual and inlier id chunks over blocks."""
+    """Inlier count, mean inlier residual and each block's inlier positions."""
     total = 0
     res_sum = 0.0
-    id_chunks: list[np.ndarray] = []
+    kept_per_block: list[np.ndarray] = []
     for block in blocks:
         norms, _, kept = _evaluate_block(block, transform, tau)
+        kept_per_block.append(kept)
         if kept.size:
             total += int(kept.size)
             res_sum += float(norms[kept].sum())
-            id_chunks.append(block.entry_ids[kept])
     mean = res_sum / total if total else 0.0
-    return total, mean, id_chunks
+    return total, mean, kept_per_block
 
 
 def count_inliers(
@@ -283,7 +283,8 @@ def count_inliers(
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     blocks = cset.camera_blocks(stride=stride, restrict_to=restrict_to)
-    total, mean, id_chunks = _score_blocks(blocks, transform, tau)
+    _, mean, kept_per_block = _score_blocks(blocks, transform, tau)
+    id_chunks = [block.entry_ids[kept] for block, kept in zip(blocks, kept_per_block)]
     ids = np.sort(np.concatenate(id_chunks)) if id_chunks else np.empty(0, dtype=np.int64)
     return InlierCount(ids=ids, mean_residual=mean)
 

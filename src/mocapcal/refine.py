@@ -2,9 +2,12 @@
 
 Minimizes half the mean squared reprojection residual over an active set
 of correspondences, parameterizing the pose as ZYX Euler angles plus a
-translation. Gradients are analytic: the pixel residual is chained
-through the intrinsics, the distortion Jacobian, the perspective
-division, and the camera and pose rotations. Updates use Adam with
+translation. The forward pass runs the projection chain of
+:mod:`mocapcal.geometry`, the code every evaluation runs, so refinement
+and evaluation agree on which points lie in front of a camera. Gradients
+are analytic: the pixel residual is chained back through the intrinsics,
+the distortion Jacobian, the perspective division, and the camera and
+pose rotations. Updates use Adam with
 separate learning rates for the angle and translation blocks and a
 cosine-annealed schedule.
 
@@ -25,7 +28,8 @@ from .errors import EmptyActiveSetError
 from .geometry import (
     EulerPose,
     RigidTransform,
-    distort_normalized,
+    _camera_pixels,
+    _camera_points,
     distortion_jacobian,
     rotation_to_euler,
     rotation_zyx_derivatives,
@@ -138,10 +142,7 @@ def _loss_and_gradient_on_blocks(
     active = 0
     for block in blocks:
         cam = block.camera
-        # Compose MoCap -> camera once; saves a large matmul per block.
-        rot_full = cam.rotation @ rot
-        trans_full = cam.rotation @ trans + cam.translation
-        cam_pts = block.points3d @ rot_full.T + trans_full
+        cam_pts = _camera_points(cam, rot, trans, block.points3d)
         front = cam_pts[:, 2] > 0.0
         if not np.any(front):
             continue
@@ -153,18 +154,10 @@ def _loss_and_gradient_on_blocks(
             pts3 = block.points3d[front]
             obs = block.points2d[front]
         z = cam_pts[:, 2]
-        xn = cam_pts[:, 0] / z
-        yn = cam_pts[:, 1] / z
-        norm = np.stack([xn, yn], axis=-1)
-        if cam.distortion is not None:
-            dist = distort_normalized(cam.distortion, norm)
-            jac = distortion_jacobian(cam.distortion, norm)
-        else:
-            dist = norm
-            jac = None
-        u = cam.fx * dist[:, 0] + cam.skew * dist[:, 1] + cam.cx
-        v = cam.fy * dist[:, 1] + cam.cy
-        res = np.stack([u, v], axis=-1) - obs
+        pixels, norm = _camera_pixels(cam, cam_pts)
+        xn, yn = norm[:, 0], norm[:, 1]
+        jac = None if cam.distortion is None else distortion_jacobian(cam.distortion, norm)
+        res = pixels - obs
         loss_sum += float((res * res).sum())
         active += int(z.size)
 

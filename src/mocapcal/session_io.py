@@ -325,8 +325,11 @@ def report_to_dict(report: CalibrationReport) -> dict:
     return doc
 
 
-def report_from_dict(doc: dict) -> CalibrationReport:
-    """Rebuild a report object from its JSON form."""
+def report_from_dict(doc: dict, warnings: Optional[list[str]] = None) -> CalibrationReport:
+    """Rebuild a report object from its JSON form.
+
+    A repaired rotation drift is appended to ``warnings`` when given.
+    """
     if not isinstance(doc, dict):
         raise ParseError("report document must be a JSON object")
     version = _require(doc, "format_version", "report")
@@ -335,8 +338,7 @@ def report_from_dict(doc: dict) -> CalibrationReport:
             f"report format_version {version!r} is not supported (expected {FORMAT_VERSION})"
         )
     rot = _as_float_array(_require(doc, "rotation", "report"), (9,), "rotation").reshape(3, 3)
-    drift_warnings: list[str] = []
-    rot = _checked_rotation(rot, "report rotation", drift_warnings)
+    rot = _checked_rotation(rot, "report rotation", [] if warnings is None else warnings)
     trans = _as_float_array(_require(doc, "translation", "report"), (3,), "translation")
     raw = {
         attr: doc.get(key, _REPORT_DEFAULTS[key])
@@ -372,6 +374,6 @@ def save_report(report: CalibrationReport, path: str) -> None:
         fh.write("\n")
 
 
-def load_report(path: str) -> CalibrationReport:
-    """Read a report file back; floats round-trip exactly."""
-    return report_from_dict(_load_json(path))
+def load_report(path: str, warnings: Optional[list[str]] = None) -> CalibrationReport:
+    """Read a report file back (floats round-trip exactly), as :func:`report_from_dict`."""
+    return report_from_dict(_load_json(path), warnings)

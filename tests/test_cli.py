@@ -82,6 +82,23 @@ class TestEndToEnd:
         assert stdout_value(result, "mpjpe_px") < 1e-9
         assert stdout_value(result, "gt_rotation_err_deg") < 1e-9
 
+    def test_eval_warns_when_a_report_rotation_is_repaired(
+        self, report_dir, noisy_session_file, tmp_path
+    ):
+        with open(report_dir / "seed0.json") as fh:
+            doc = json.load(fh)
+        doc["rotation"][0] += 1e-7
+        drifted = str(tmp_path / "drifted.json")
+        with open(drifted, "w") as fh:
+            json.dump(doc, fh)
+        from_report = run_cli("eval", "--session", noisy_session_file, "--extrinsic", drifted)
+        inline = " ".join(repr(v) for v in doc["rotation"] + doc["translation"])
+        from_numbers = run_cli("eval", "--session", noisy_session_file, "--extrinsic", inline)
+        assert from_report.returncode == 0, from_report.stderr
+        assert from_numbers.returncode == 0, from_numbers.stderr
+        assert from_numbers.stderr.startswith("mocapcal: warning: --extrinsic rotation: ")
+        assert from_report.stderr == from_numbers.stderr.replace("--extrinsic", "report")
+
     def test_calibrate_is_deterministic_modulo_timing(self, noisy_session_file, tmp_path):
         reports = []
         for k in range(2):

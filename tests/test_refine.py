@@ -14,15 +14,17 @@ from mocapcal import (
     cosine_lr,
     count_inliers,
     loss_and_gradient,
+    project_points,
     refine_pose,
     rotation_geodesic_deg,
     rotation_to_euler,
     rotation_zyx,
     run_ransac,
 )
+from mocapcal.geometry import rotation_zyx_derivatives
 from mocapcal.synth import GAUSSIAN, SynthConfig, generate
 
-from helpers import basic_camera, make_set, unit_camera
+from helpers import basic_camera, make_set, random_rotation_matrix, unit_camera
 
 
 def finite_difference_gradient(cset, pose, stride=1, h=1e-6):
@@ -255,3 +257,71 @@ class TestRefinePose:
         floor = sigma * math.sqrt(math.pi / 2.0)
         assert final_err <= init_err
         assert abs(final_err - floor) / floor < 0.10
+
+
+def two_step_depths(camera, transform, points):
+    """Depths from applying the pose, then the camera."""
+    world = points @ transform.rotation.T + transform.translation
+    return (world @ camera.rotation.T + camera.translation)[:, 2]
+
+
+def composed_depths(camera, transform, points):
+    """Depths from applying the composed camera-from-MoCap transform."""
+    rot = camera.rotation @ transform.rotation
+    trans = camera.rotation @ transform.translation + camera.translation
+    return (points @ rot.T + trans)[:, 2]
+
+
+def near_plane_set():
+    """Five points the two arithmetics split on, plus one ordinary point.
+
+    Points within 1e-15 m of a camera's principal plane get a depth whose
+    sign depends on the order of the arithmetic. The five points are those
+    where the two-step arithmetic puts them in front of the camera and the
+    composed one does not.
+    """
+    rng = np.random.default_rng(2024)
+    camera = basic_camera(
+        rotation=random_rotation_matrix(rng), translation=np.array([0.4, -0.3, 2.5])
+    )
+    # With alpha = beta = 0 the refinement's rotation (a product of three
+    # axis rotations) is bit-equal to the closed form in to_transform().
+    pose = EulerPose(0.0, 0.0, 0.7, np.array([0.3, -0.2, 0.5]))
+    transform = pose.to_transform()
+    assert np.array_equal(transform.rotation, rotation_zyx_derivatives(0.0, 0.0, 0.7)[0])
+
+    # Camera-frame points within 1e-15 m of the principal plane, taken back
+    # to the MoCap frame, and one point 3 m in front.
+    n = 4000
+    near = np.column_stack(
+        [rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1e-15, 1e-15, n)]
+    )
+    to_mocap = transform.inverse().compose(
+        RigidTransform(camera.rotation.T, -camera.rotation.T @ camera.translation)
+    )
+    candidates = to_mocap.apply(near)
+    split = (two_step_depths(camera, transform, candidates) > 0.0) & ~(
+        composed_depths(camera, transform, candidates) > 0.0
+    )
+    points = np.vstack([candidates[np.flatnonzero(split)[:5]], to_mocap.apply([0.1, -0.2, 3.0])])
+    cset = make_set(
+        [camera],
+        [(0, j, 0, p, (640.0, 360.0), True) for j, p in enumerate(points)],
+        (1, len(points), 1),
+    )
+    return cset, camera, pose, transform, points
+
+
+class TestDepthDecisionNearPrincipalPlane:
+    def test_the_set_splits_the_two_arithmetics(self):
+        _, camera, _, transform, points = near_plane_set()
+        two_step = two_step_depths(camera, transform, points) > 0.0
+        composed = composed_depths(camera, transform, points) > 0.0
+        assert np.count_nonzero(two_step != composed) == 5
+        assert two_step[-1] and composed[-1]
+
+    def test_loss_counts_the_points_projection_puts_in_front(self):
+        cset, camera, pose, transform, points = near_plane_set()
+        _, depths = project_points(camera, transform, points)
+        report = loss_and_gradient(cset, pose)
+        assert report.active_count == int(np.count_nonzero(depths > 0.0))
