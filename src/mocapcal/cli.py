@@ -66,7 +66,9 @@ def _build_parser() -> _Parser:
     cal.add_argument("--ransac-iters", type=int, default=RansacConfig.iterations)
     cal.add_argument("--coarse-stride", type=int, default=RansacConfig.coarse_stride)
     cal.add_argument("--fine-stride", type=int, default=RefineConfig.fine_stride)
-    cal.add_argument("--steps", type=int, default=RefineConfig.steps)
+    cal.add_argument(
+        "--steps", type=int, default=RefineConfig.steps, help="cap on refinement steps"
+    )
     cal.add_argument("--lr-rot", type=float, default=RefineConfig.lr_rotation)
     cal.add_argument("--lr-trans", type=float, default=RefineConfig.lr_translation)
     cal.add_argument("--inliers-only", type=_bool_flag, default=RefineConfig.inliers_only)

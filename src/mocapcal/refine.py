@@ -9,7 +9,8 @@ are analytic: the pixel residual is chained back through the intrinsics,
 the distortion Jacobian, the perspective division, and the camera and
 pose rotations. Updates use Adam with
 separate learning rates for the angle and translation blocks and a
-cosine-annealed schedule.
+cosine-annealed schedule over ``steps``, which caps the run: it stops
+earlier once the best loss has reached a plateau.
 
 Only strictly positive-depth entries contribute; the active-set size
 therefore varies with the pose, and the loss is always an average over
@@ -36,12 +37,18 @@ from .geometry import (
 )
 from .ransac import CameraBlock, CorrespondenceSet
 
+# Plateau stop: refinement ends once the best loss has not fallen below
+# (1 - _PLATEAU_RTOL) times the last anchor loss for _PLATEAU_STEPS steps.
+_PLATEAU_RTOL = 1e-12
+_PLATEAU_STEPS = 50
+
 
 @dataclass(frozen=True)
 class RefineConfig:
     """Settings for the refinement stage.
 
-    ``fine_stride`` subsamples frames during optimization;
+    ``steps`` caps the number of Adam steps and sets the length of the
+    cosine schedule. ``fine_stride`` subsamples frames during optimization;
     ``inliers_only`` restricts the active set to the RANSAC inliers when
     the caller provides them. ``cosine_floor`` is the fraction of the
     initial learning rate kept at the end of the schedule.
@@ -207,11 +214,13 @@ def refine_pose(
 ) -> tuple[RigidTransform, np.ndarray]:
     """Polish ``init`` by Adam on the reprojection loss.
 
-    Runs ``cfg.steps`` updates, evaluating the loss before each one, and
-    returns the iterate with the lowest recorded loss together with the
-    loss trace (length ``cfg.steps``, starting at the initial pose). On
-    noise-free data the initial pose is already optimal and is returned
-    unchanged.
+    Runs at most ``cfg.steps`` updates, evaluating the loss before each
+    one. It stops early once the best loss has not fallen below
+    ``(1 - 1e-12)`` times the last anchor loss for 50 consecutive steps;
+    each such fall moves the anchor to the new best loss. Returns the
+    iterate with the lowest recorded loss together with the loss trace,
+    one entry per step run, starting at the initial pose. On noise-free
+    data the initial pose is already optimal and is returned unchanged.
 
     Raises :class:`EmptyActiveSetError` when no correspondence is active
     at the initial pose.
@@ -224,6 +233,7 @@ def refine_pose(
     trace = np.empty(cfg.steps)
     best_params = params.copy()
     best_loss = math.inf
+    anchor_loss, anchor_step = math.inf, 0
     for step in range(cfg.steps):
         report = _loss_and_gradient_on_blocks(blocks, EulerPose.from_vector(params))
         if step == 0 and report.active_count == 0:
@@ -234,6 +244,10 @@ def refine_pose(
         if report.active_count > 0 and report.loss < best_loss:
             best_loss = report.loss
             best_params = params.copy()
+        if best_loss < (1.0 - _PLATEAU_RTOL) * anchor_loss:
+            anchor_loss, anchor_step = best_loss, step
+        elif step - anchor_step >= _PLATEAU_STEPS:
+            break
         lr_rot = cosine_lr(step, cfg.steps, cfg.lr_rotation, cfg.cosine_floor)
         lr_trans = cosine_lr(step, cfg.steps, cfg.lr_translation, cfg.cosine_floor)
         state, delta = adam_step(
@@ -247,4 +261,4 @@ def refine_pose(
         )
         params = params + delta
     best = EulerPose.from_vector(best_params)
-    return best.to_transform(), trace
+    return best.to_transform(), trace[: step + 1]

@@ -61,6 +61,14 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _check_version(doc: dict, context: str) -> None:
+    version = _require(doc, "format_version", context)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise UnsupportedVersionError(
+            f"{context} format_version {version!r} is not supported (expected {FORMAT_VERSION})"
+        )
+
+
 def _as_float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=np.float64)
@@ -162,11 +170,7 @@ def load_session(path: str) -> SessionData:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError("session document must be a JSON object")
-    version = _require(doc, "format_version", "session")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"session format_version {version!r} is not supported (expected {FORMAT_VERSION})"
-        )
+    _check_version(doc, "session")
 
     units = doc.get("units", {})
     if not isinstance(units, dict):
@@ -279,6 +283,26 @@ def _as_is(value):
     return value
 
 
+# The JSON types each typed report field accepts, and their name in errors.
+# bool is an int subclass, so it is refused wherever it is not named.
+_JSON_TYPES = {
+    float: ((int, float), "a number"),
+    _optional_float: ((int, float, type(None)), "a number or null"),
+    int: ((int,), "an integer"),
+    bool: ((bool,), "a boolean"),
+}
+
+
+def _convert(kind, value, key: str):
+    """``kind(value)``, keeping its errors, then refusing a JSON type the field does not take."""
+    converted = kind(value)
+    if kind in _JSON_TYPES:
+        accepted, name = _JSON_TYPES[kind]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+            raise ParseError(f"{key} must be {name}, got {type(value).__name__}")
+    return converted
+
+
 # Report fields after rotation and translation, in saved key order:
 # (JSON key, report attribute, type). A group's type is (field names, field
 # type), and the group is saved as an object of those attributes.
@@ -332,11 +356,7 @@ def report_from_dict(doc: dict, warnings: Optional[list[str]] = None) -> Calibra
     """
     if not isinstance(doc, dict):
         raise ParseError("report document must be a JSON object")
-    version = _require(doc, "format_version", "report")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"report format_version {version!r} is not supported (expected {FORMAT_VERSION})"
-        )
+    _check_version(doc, "report")
     rot = _as_float_array(_require(doc, "rotation", "report"), (9,), "rotation").reshape(3, 3)
     rot = _checked_rotation(rot, "report rotation", [] if warnings is None else warnings)
     trans = _as_float_array(_require(doc, "translation", "report"), (3,), "translation")
@@ -346,16 +366,19 @@ def report_from_dict(doc: dict, warnings: Optional[list[str]] = None) -> Calibra
         else _require(doc, key, "report")
         for key, attr, _ in _REPORT_FIELDS
     }
-    if not isinstance(raw["euler"], dict):
-        raise ParseError("euler_zyx must be an object")
     try:
         values = {}
         for key, attr, kind in _REPORT_FIELDS:
             if isinstance(kind, tuple):
+                if not isinstance(raw[attr], dict):
+                    raise ParseError(f"{key} must be an object")
                 names, field_type = kind
-                values[attr] = [field_type(_require(raw[attr], name, key)) for name in names]
+                values[attr] = [
+                    _convert(field_type, _require(raw[attr], name, key), f"{key}.{name}")
+                    for name in names
+                ]
             else:
-                values[attr] = kind(raw[attr])
+                values[attr] = _convert(kind, raw[attr], key)
         return CalibrationReport(
             transform=RigidTransform(rotation=rot, translation=trans),
             euler=EulerPose(*values.pop("euler"), trans),

@@ -111,6 +111,12 @@ def _unknown_length_unit(path):
     _dump(doc, path)
 
 
+def _boolean_version(path):
+    doc = valid_doc()
+    doc["format_version"] = True
+    _dump(doc, path)
+
+
 class MalformedCase(NamedTuple):
     name: str
     write: object
@@ -121,6 +127,7 @@ CASES = [
     MalformedCase("truncated-json", _truncated_json, ParseError),
     MalformedCase("missing-cameras", _missing_cameras, ParseError),
     MalformedCase("future-version", _future_version, UnsupportedVersionError),
+    MalformedCase("boolean-version", _boolean_version, UnsupportedVersionError),
     MalformedCase("camera-count-mismatch", _camera_count_mismatch, DimensionMismatchError),
     MalformedCase("joint-count-mismatch", _joint_count_mismatch, DimensionMismatchError),
     MalformedCase("short-intrinsics", _short_intrinsics, DimensionMismatchError),

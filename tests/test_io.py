@@ -301,6 +301,56 @@ class TestReportSchema:
         if group == "euler_zyx":
             assert str(info.value) == "euler_zyx must be an object"
 
+    @pytest.mark.parametrize("group", ["euler_zyx", "correspondence_counts", "timing"])
+    @pytest.mark.parametrize("value", [5, None, [1.0, 2.0]], ids=["int", "null", "list"])
+    def test_group_that_is_not_an_object_is_named(self, report_doc, group, value):
+        doc = copy.deepcopy(report_doc)
+        doc[group] = value
+        with pytest.raises(ParseError) as info:
+            report_from_dict(doc)
+        assert str(info.value) == f"{group} must be an object"
+
+    @pytest.mark.parametrize(
+        "path, value, expected",
+        [
+            ("refinement_rejected", "x", "a boolean, got str"),
+            ("refinement_rejected", 5, "a boolean, got int"),
+            ("inlier_count", 1.5, "an integer, got float"),
+            ("inlier_count", True, "an integer, got bool"),
+            ("seed", 1.5, "an integer, got float"),
+            ("correspondence_counts.valid", "7", "an integer, got str"),
+            ("mpjpe_init_px", "nan", "a number, got str"),
+            ("mpjpe_init_px", False, "a number, got bool"),
+            ("mpjpe_gt_px", "1.0", "a number or null, got str"),
+            ("euler_zyx.beta", True, "a number, got bool"),
+            ("timing.total_ms", "2", "a number, got str"),
+        ],
+    )
+    def test_value_of_the_wrong_json_type_is_refused(self, report_doc, path, value, expected):
+        doc = copy.deepcopy(report_doc)
+        parent, key = parent_and_key(doc, path)
+        parent[key] = value
+        with pytest.raises(ParseError) as info:
+            report_from_dict(doc)
+        assert type(info.value) is ParseError
+        assert str(info.value) == f"{path} must be {expected}"
+
+    def test_boolean_format_version_is_unsupported(self, report_doc):
+        from mocapcal import UnsupportedVersionError
+
+        doc = copy.deepcopy(report_doc)
+        doc["format_version"] = True
+        with pytest.raises(UnsupportedVersionError):
+            report_from_dict(doc)
+
+    def test_integer_in_a_float_field_loads_as_float(self, report_doc):
+        doc = copy.deepcopy(report_doc)
+        doc["mpjpe_init_px"] = 3
+        doc["timing"]["total_ms"] = 0
+        report = report_from_dict(doc)
+        assert type(report.mpjpe_init) is float and report.mpjpe_init == 3.0
+        assert type(report.timing.total_ms) is float
+
     @pytest.mark.parametrize("absent", [True, False], ids=["absent", "null"])
     def test_gt_fields_absent_or_null_read_as_none(self, report_doc, absent):
         doc = copy.deepcopy(report_doc)

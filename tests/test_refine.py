@@ -21,6 +21,7 @@ from mocapcal import (
     rotation_zyx,
     run_ransac,
 )
+from mocapcal import refine
 from mocapcal.geometry import rotation_zyx_derivatives
 from mocapcal.synth import GAUSSIAN, SynthConfig, generate
 
@@ -257,6 +258,64 @@ class TestRefinePose:
         floor = sigma * math.sqrt(math.pi / 2.0)
         assert final_err <= init_err
         assert abs(final_err - floor) / floor < 0.10
+
+
+def noisy_inlier_problem(seed=9):
+    """A noisy 2-camera session, its RANSAC pose and that pose's inlier ids."""
+    session = generate(
+        SynthConfig(
+            n_cameras=2,
+            n_joints=17,
+            n_frames=100,
+            noise_sigma=2.0,
+            outlier_fraction=0.2,
+            seed=seed,
+        )
+    )
+    cset = session.correspondences
+    hyp = run_ransac(cset, RansacConfig(tau=6.0, iterations=400, seed=seed, coarse_stride=5))
+    return cset, hyp.transform, count_inliers(cset, hyp.transform, tau=6.0).ids
+
+
+class TestPlateauStop:
+    def test_noisy_run_stops_on_a_plateau(self):
+        cset, init, inliers = noisy_inlier_problem()
+        cfg = RefineConfig(steps=2000, fine_stride=1)
+        _, trace = refine_pose(cset, init, cfg, restrict_to=inliers)
+        window = refine._PLATEAU_STEPS
+        assert len(trace) < cfg.steps
+        assert trace[-window:].min() >= (1.0 - refine._PLATEAU_RTOL) * trace[:-window].min()
+
+    def test_stopped_pose_matches_the_uncapped_run(self, monkeypatch):
+        cset, init, inliers = noisy_inlier_problem()
+        cfg = RefineConfig(steps=2000, fine_stride=1)
+        stopped, stopped_trace = refine_pose(cset, init, cfg, restrict_to=inliers)
+        monkeypatch.setattr(refine, "_PLATEAU_STEPS", cfg.steps)
+        full, full_trace = refine_pose(cset, init, cfg, restrict_to=inliers)
+        assert len(full_trace) == cfg.steps
+        assert abs(stopped_trace.min() - full_trace.min()) <= 1e-12 * full_trace.min()
+        assert rotation_geodesic_deg(stopped.rotation, full.rotation) < 1e-6
+        assert np.abs(stopped.translation - full.translation).max() < 1e-8
+
+    def test_descending_run_uses_every_step_of_its_cap(self):
+        session = generate(SynthConfig(n_cameras=2, n_joints=17, n_frames=60, seed=6))
+        gt = session.gt_extrinsic
+        wobble = rotation_zyx(*np.deg2rad([2.0, 0.0, 0.0]))
+        init = RigidTransform(gt.rotation @ wobble, gt.translation + np.array([0.05, 0.0, 0.0]))
+        window = refine._PLATEAU_STEPS
+        cfg = RefineConfig(steps=4 * window, fine_stride=1, inliers_only=False)
+        _, trace = refine_pose(session.correspondences, init, cfg)
+        assert len(trace) == cfg.steps
+        best = np.minimum.accumulate(trace)
+        assert np.all(best[window:] < (1.0 - refine._PLATEAU_RTOL) * best[:-window])
+
+    def test_start_at_optimum_stops_after_one_window(self):
+        session = generate(SynthConfig(n_cameras=2, n_joints=17, n_frames=40, seed=5))
+        gt = session.gt_extrinsic
+        refined, trace = refine_pose(session.correspondences, gt, RefineConfig())
+        assert len(trace) == refine._PLATEAU_STEPS + 1
+        assert np.linalg.norm(refined.rotation - gt.rotation) < 1e-9
+        assert np.linalg.norm(refined.translation - gt.translation) < 1e-9
 
 
 def two_step_depths(camera, transform, points):
