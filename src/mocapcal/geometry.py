@@ -12,10 +12,15 @@ Conventions used throughout the package:
 * Lens distortion is the Brown-Conrady model ``(k1, k2, p1, p2, k3)``
   applied to normalized image coordinates.
 
-The projection chain lives only here: camera and pose are composed once
-(``R_c R``, ``R_c t + t_c``) and applied to the points, which are then
-divided by depth, distorted and mapped through the intrinsics. Every
-evaluation (via :func:`project_points`) and the refinement run this chain.
+The projection chain lives only here, in one stacked, coordinate-major
+form: for H poses, camera and pose are composed (``R_c R``,
+``R_c t + t_c``) and applied to the points, stored as one ``(3, N)`` row
+per coordinate, in a single ``(3H, 3) @ (3, N)`` product. Depth, the
+normalized and the pixel coordinates then come out as ``(H, N)`` arrays.
+RANSAC scoring, every evaluation (via :func:`project_points`, its H = 1
+case) and the refinement run this chain. Its inverse for pixels,
+:func:`pixel_bearings`, gives each pixel's unit bearing on its own, so a
+bearing computed in bulk equals the one computed for that pixel alone.
 """
 
 from __future__ import annotations
@@ -270,15 +275,52 @@ def rotation_to_euler(rotation: np.ndarray) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
+def _distort(coeffs: DistortionCoeffs, x: np.ndarray, y: np.ndarray):
+    """Brown-Conrady distortion of normalized coordinates given as separate arrays.
+
+    Evaluates, operation for operation,
+    ``r2 = x x + y y``, ``radial = 1 + r2 (k1 + r2 (k2 + r2 k3))``,
+    ``xd = x radial + 2 p1 x y + p2 (r2 + 2 x x)`` and
+    ``yd = y radial + p1 (r2 + 2 y y) + 2 p2 x y``, in place on three
+    temporaries: on stacked (H, N) inputs fresh arrays per step would
+    cost more in allocation than in arithmetic.
+    """
+    k1, k2, p1, p2, k3 = coeffs.as_tuple()
+    r2 = x * x
+    tmp = y * y
+    r2 += tmp
+    radial = r2 * k3
+    radial += k2
+    radial *= r2
+    radial += k1
+    radial *= r2
+    radial += 1.0
+    xd = x * radial
+    np.multiply(2.0 * p1, x, out=tmp)
+    tmp *= y
+    xd += tmp
+    np.multiply(2.0, x, out=tmp)
+    tmp *= x
+    tmp += r2
+    tmp *= p2
+    xd += tmp
+    yd = np.multiply(y, radial, out=radial)
+    np.multiply(2.0, y, out=tmp)
+    tmp *= y
+    tmp += r2
+    tmp *= p1
+    yd += tmp
+    np.multiply(2.0 * p2, x, out=tmp)
+    tmp *= y
+    yd += tmp
+    return xd, yd
+
+
 def distort_normalized(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray:
     """Apply Brown-Conrady distortion to normalized points ``(..., 2)``."""
     xy = np.asarray(xy, dtype=np.float64)
-    x, y = xy[..., 0], xy[..., 1]
-    r2 = x * x + y * y
-    radial = 1.0 + r2 * (coeffs.k1 + r2 * (coeffs.k2 + r2 * coeffs.k3))
-    xd = x * radial + 2.0 * coeffs.p1 * x * y + coeffs.p2 * (r2 + 2.0 * x * x)
-    yd = y * radial + coeffs.p1 * (r2 + 2.0 * y * y) + 2.0 * coeffs.p2 * x * y
-    return np.stack([xd, yd], axis=-1)
+    flat = xy.reshape(-1, 2)
+    return np.stack(_distort(coeffs, flat[:, 0], flat[:, 1]), axis=-1).reshape(xy.shape)
 
 
 def undistort_normalized(
@@ -287,21 +329,41 @@ def undistort_normalized(
     iterations: int = 10,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Invert :func:`distort_normalized` by fixed-point iteration.
+    """Invert :func:`distort_normalized` by Newton's method, point by point.
 
-    Starts from the distorted point and iterates
-    ``x <- xd - (distort(x) - x)`` up to ``iterations`` times, stopping
-    early once the update falls below ``tol``.
+    Starts from the distorted point and takes Newton steps with
+    :func:`distortion_jacobian`, solving each 2x2 system in closed form.
+    Each point stops on its own once its step falls below ``tol`` in both
+    coordinates, or after ``iterations`` steps, so its result never depends
+    on the other points in ``xy``. A point whose step comes out non-finite
+    (a singular Jacobian) keeps its last finite iterate.
     """
     distorted = np.asarray(xy, dtype=np.float64)
-    current = distorted.copy()
-    for _ in range(iterations):
-        nxt = distorted - (distort_normalized(coeffs, current) - current)
-        if np.abs(nxt - current).max() < tol:
-            current = nxt
-            break
-        current = nxt
-    return current
+    target = distorted.reshape(-1, 2)
+    current = target.copy()
+    active = np.arange(current.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(iterations):
+            if active.size == 0:
+                break
+            pts = current[active]
+            x, y = pts[:, 0], pts[:, 1]
+            xd, yd = _distort(coeffs, x, y)
+            rx = xd - target[active, 0]
+            ry = yd - target[active, 1]
+            jac = distortion_jacobian(coeffs, pts)
+            a, b = jac[:, 0, 0], jac[:, 0, 1]
+            c, d = jac[:, 1, 0], jac[:, 1, 1]
+            det = a * d - b * c
+            dx = (d * rx - b * ry) / det
+            dy = (a * ry - c * rx) / det
+            nx, ny = x - dx, y - dy
+            finite = np.isfinite(nx) & np.isfinite(ny)
+            current[active[finite], 0] = nx[finite]
+            current[active[finite], 1] = ny[finite]
+            moving = finite & ~((np.abs(dx) < tol) & (np.abs(dy) < tol))
+            active = active[moving]
+    return current.reshape(distorted.shape)
 
 
 def distortion_jacobian(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray:
@@ -319,26 +381,56 @@ def distortion_jacobian(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _camera_points(
-    camera: CameraModel, rotation: np.ndarray, translation: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """MoCap-frame points in ``camera``'s frame: camera and pose composed, then applied."""
-    rot = camera.rotation @ rotation
-    trans = camera.rotation @ translation + camera.translation
-    return points @ rot.T + trans
+def pixel_bearings(camera: CameraModel, pixels: np.ndarray) -> np.ndarray:
+    """Unit camera-frame bearings ``(N, 3)`` of pixels ``(N, 2)``.
 
-
-def _camera_pixels(camera: CameraModel, cam_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pixels ``(..., 2)`` and normalized coordinates of camera-frame points.
-
-    Non-finite for points on the principal plane.
+    Maps each pixel back through the intrinsics (honoring skew), then
+    through the inverse of the distortion model, and normalizes the ray
+    ``(x, y, 1)``. Every step is per pixel, so a bearing does not depend on
+    the other pixels in ``pixels``.
     """
-    z = cam_pts[..., 2]
-    norm = np.stack([cam_pts[..., 0] / z, cam_pts[..., 1] / z], axis=-1)
-    dist = norm if camera.distortion is None else distort_normalized(camera.distortion, norm)
-    u = camera.fx * dist[..., 0] + camera.skew * dist[..., 1] + camera.cx
-    v = camera.fy * dist[..., 1] + camera.cy
-    return np.stack([u, v], axis=-1), norm
+    pix = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
+    yn = (pix[:, 1] - camera.cy) / camera.fy
+    xn = (pix[:, 0] - camera.cx - camera.skew * yn) / camera.fx
+    norm = np.stack([xn, yn], axis=-1)
+    if camera.distortion is not None:
+        norm = undistort_normalized(camera.distortion, norm)
+    rays = np.concatenate([norm, np.ones((norm.shape[0], 1))], axis=1)
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    return rays
+
+
+def project_stacked(
+    camera: CameraModel, rotations: np.ndarray, translations: np.ndarray, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Project coordinate-major MoCap points ``(3, N)`` under H poses through ``camera``.
+
+    Returns depth ``z``, normalized ``x``, ``y`` and pixel ``u``, ``v``,
+    each ``(H, N)``. ``rotations`` is ``(H, 3, 3)`` and ``translations``
+    ``(H, 3)``. Each pose is composed with the camera, and one
+    ``(3H, 3) @ (3, N)`` product takes the points into every camera frame.
+    Then ``x = X / z``, ``y = Y / z`` (stored over ``X`` and ``Y``),
+    distortion, ``u = fx xd + skew yd + cx`` and ``v = fy yd + cy``. Points
+    on the principal plane get non-finite coordinates; callers gate on ``z``.
+    """
+    n_poses = rotations.shape[0]
+    rot = camera.rotation @ rotations
+    trans = (camera.rotation @ translations[:, :, None])[:, :, 0] + camera.translation
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    cam = (rot.reshape(3 * n_poses, 3) @ pts).reshape(n_poses, 3, -1)
+    cam += trans[:, :, None]
+    z = cam[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.divide(cam[:, 0], z, out=cam[:, 0])
+        y = np.divide(cam[:, 1], z, out=cam[:, 1])
+        xd, yd = (x, y) if camera.distortion is None else _distort(camera.distortion, x, y)
+        u = camera.fx * xd
+        tmp = camera.skew * yd
+        u += tmp
+        u += camera.cx
+        v = np.multiply(camera.fy, yd, out=tmp)
+        v += camera.cy
+    return z, x, y, u, v
 
 
 def project_points(
@@ -348,13 +440,14 @@ def project_points(
 
     Vectorized and exception-free: returns ``(pixels (..., 2), depths)``
     where pixels of points near the principal plane come out non-finite.
-    Callers gate on depth.
+    Callers gate on depth. This is :func:`project_stacked` with one pose.
     """
     pts = np.asarray(points, dtype=np.float64)
-    cam_pts = _camera_points(camera, transform.rotation, transform.translation, pts)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pixels, _ = _camera_pixels(camera, cam_pts)
-    return pixels, cam_pts[..., 2]
+    lead = pts.shape[:-1]
+    z, _, _, u, v = project_stacked(
+        camera, transform.rotation[None], transform.translation[None], pts.reshape(-1, 3).T
+    )
+    return np.stack([u[0], v[0]], axis=-1).reshape(lead + (2,)), z[0].reshape(lead)
 
 
 def project(camera: CameraModel, transform: RigidTransform, point: np.ndarray) -> Projection:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .geometry import CameraModel, RigidTransform, undistort_normalized
+from .geometry import CameraModel, RigidTransform, pixel_bearings
 
 # Minimal triangle area (m^2) below which a sample is treated as collinear.
 MIN_TRIANGLE_AREA = 1e-9
@@ -71,20 +71,15 @@ class MinimalProblem:
     ) -> "MinimalProblem":
         """Build a problem from pixel observations of three points.
 
-        Pixels are mapped back through the intrinsics (honoring skew) and
-        the distortion model to normalized coordinates, then lifted to
-        unit bearings.
+        The bearings come from :func:`mocapcal.geometry.pixel_bearings`:
+        intrinsics (honoring skew), per-point Newton undistortion, then
+        normalization. It works pixel by pixel, so these bearings equal,
+        bit for bit, the rows :func:`mocapcal.ransac.run_ransac` computes
+        for the same pixels in bulk once per run.
         """
         pts = np.asarray(world_points, dtype=np.float64).reshape(3, 3)
         pix = np.asarray(pixels, dtype=np.float64).reshape(3, 2)
-        yn = (pix[:, 1] - camera.cy) / camera.fy
-        xn = (pix[:, 0] - camera.cx - camera.skew * yn) / camera.fx
-        norm = np.stack([xn, yn], axis=-1)
-        if camera.distortion is not None:
-            norm = undistort_normalized(camera.distortion, norm)
-        rays = np.concatenate([norm, np.ones((3, 1))], axis=1)
-        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        return cls(world_points=pts, bearings=rays)
+        return cls(world_points=pts, bearings=pixel_bearings(camera, pix))
 
 
 def _grunert_quartic(a2, b2, c2, ca, cb, cg):

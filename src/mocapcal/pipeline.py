@@ -69,12 +69,13 @@ def _evaluate(
     total = 0.0
     count = 0
     id_chunks = []
+    rotations, translations = transform.rotation[None], transform.translation[None]
     for block in blocks:
-        norms, front, kept = _evaluate_block(block, transform, tau)
-        total += float(norms[front].sum())
+        norms, front, keep = _evaluate_block(block, rotations, translations, tau)
+        total += float(norms[0][front[0]].sum())
         count += int(np.count_nonzero(front))
-        if kept is not None:
-            id_chunks.append(block.entry_ids[kept])
+        if keep is not None:
+            id_chunks.append(block.entry_ids[keep[0]])
     if count == 0:
         raise EmptyActiveSetError("no valid positive-depth correspondence to average")
     return total / count, count, np.concatenate(id_chunks) if id_chunks else None

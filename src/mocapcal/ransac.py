@@ -6,12 +6,23 @@ three joints seen by a single camera in a single frame, solves the
 three-point pose problem, and scores each hypothesis by counting
 reprojection inliers over a frame-strided subset of the data.
 ``_evaluate_block`` alone decides what is in front of a camera and what
-is an inlier; scoring and the stride-1 evaluation reduce what it returns.
+is an inlier, for a stack of poses at once; scoring and the stride-1
+evaluation reduce what it returns.
+
+The work is done in bulk. Every valid pixel's bearing is computed once
+per run, and each iteration indexes the three it samples. The solutions
+of ``_SCORE_ITERATIONS`` consecutive iterations are scored together, in
+one pass of the stacked projection chain per camera block (the batching
+of preemptive RANSAC, Nister 2005, without its early termination).
 
 The search is embarrassingly parallel. Each iteration seeds its own RNG
 substream from ``(seed, iteration)``, so results are bit-identical no
 matter how many worker threads score hypotheses; the ``RPGD_THREADS``
-environment variable (0 = one per CPU) sets the default worker count.
+environment variable (0 = auto) sets the default worker count. Threads
+only pay off on large passes: below ``POOL_MIN_ENTRIES`` scored entries
+the GIL-bound sampling and P3P of each thread wait on the other's, and
+how long they wait depends on what else the machine runs, so the auto
+count is then one thread.
 """
 
 from __future__ import annotations
@@ -28,18 +39,26 @@ from .errors import (
     InsufficientConsensusError,
     NoValidSampleError,
 )
-from .geometry import CameraModel, RigidTransform, project, project_points
+from .geometry import CameraModel, RigidTransform, pixel_bearings, project, project_stacked
 from .p3p import MinimalProblem, recover_mocap_pose, solve_p3p
 
 MAX_WORKERS = 64
 
+# Scored entries per hypothesis pass from which the auto worker count is
+# one thread per CPU rather than one thread.
+POOL_MIN_ENTRIES = 20_000
 
-def worker_count(requested: Optional[int] = None) -> int:
+# Consecutive iterations whose solutions are scored in one pass per block.
+_SCORE_ITERATIONS = 2
+
+
+def worker_count(requested: Optional[int] = None, n_scored: Optional[int] = None) -> int:
     """Resolve a worker count from an argument or ``RPGD_THREADS``.
 
     ``None`` falls back to the environment variable; 0 (from either
-    source) means one thread per CPU. The result is clamped to
-    [1, MAX_WORKERS].
+    source) means auto: one thread per CPU, or one thread when
+    ``n_scored``, the entries each hypothesis is scored on, is below
+    ``POOL_MIN_ENTRIES``. The result is clamped to [1, MAX_WORKERS].
     """
     if requested is None:
         raw = os.environ.get("RPGD_THREADS", "").strip()
@@ -51,7 +70,8 @@ def worker_count(requested: Optional[int] = None) -> int:
         else:
             requested = 0
     if requested == 0:
-        requested = os.cpu_count() or 1
+        small = n_scored is not None and n_scored < POOL_MIN_ENTRIES
+        requested = 1 if small else os.cpu_count() or 1
     return max(1, min(int(requested), MAX_WORKERS))
 
 
@@ -78,7 +98,12 @@ class Correspondence:
 
 
 class CameraBlock(NamedTuple):
-    """All selected entries of one camera, flattened for vectorized math."""
+    """All selected entries of one camera, flattened for vectorized math.
+
+    ``points3d`` (N, 3) and ``points2d`` (N, 2) are views of
+    coordinate-major arrays, so ``points3d.T`` is the contiguous (3, N)
+    input of :func:`mocapcal.geometry.project_stacked`.
+    """
 
     cam_index: int
     camera: CameraModel
@@ -216,9 +241,9 @@ class CorrespondenceSet:
         for i, cam in enumerate(self.cameras):
             ids = np.flatnonzero(mask & (self.cam_indices == i))
             if ids.size:
-                blocks.append(
-                    CameraBlock(i, cam, ids, self.points3d[ids], self.points2d[ids])
-                )
+                pts3 = np.take(self.points3d.T, ids, axis=1).T
+                pts2 = np.take(self.points2d.T, ids, axis=1).T
+                blocks.append(CameraBlock(i, cam, ids, pts3, pts2))
         return blocks
 
 
@@ -242,34 +267,54 @@ class InlierCount(NamedTuple):
 
 
 def _evaluate_block(
-    block: CameraBlock, transform: RigidTransform, tau: Optional[float] = None
+    block: CameraBlock,
+    rotations: np.ndarray,
+    translations: np.ndarray,
+    tau: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Residual norms, positive-depth mask and, given ``tau``, inlier positions."""
-    pixels, depths = project_points(block.camera, transform, block.points3d)
-    diff = pixels - block.points2d
+    """Residual norms, positive-depth mask and, given ``tau``, inlier mask.
+
+    Scores H poses, ``rotations`` (H, 3, 3) and ``translations`` (H, 3),
+    at once; each result is (H, N). The norm is ``sqrt(du**2 + dv**2)``,
+    evaluated in place over the projected pixels.
+    """
+    z, _, _, du, dv = project_stacked(block.camera, rotations, translations, block.points3d.T)
+    obs = block.points2d.T
     with np.errstate(invalid="ignore", over="ignore"):
-        norms = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
-        front = depths > 0.0
+        du -= obs[0]
+        dv -= obs[1]
+        np.square(du, out=du)
+        np.square(dv, out=dv)
+        du += dv
+        norms = np.sqrt(du, out=du)
+        front = z > 0.0
         if tau is None:
             return norms, front, None
-        return norms, front, np.flatnonzero(front & np.isfinite(norms) & (norms < tau))
+        return norms, front, front & np.isfinite(norms) & (norms < tau)
 
 
 def _score_blocks(
-    blocks: Sequence[CameraBlock], transform: RigidTransform, tau: float
-) -> tuple[int, float, list[np.ndarray]]:
-    """Inlier count, mean inlier residual and each block's inlier positions."""
-    total = 0
-    res_sum = 0.0
-    kept_per_block: list[np.ndarray] = []
+    blocks: Sequence[CameraBlock], poses: Sequence[RigidTransform], tau: float
+) -> tuple[list[int], list[float], list[np.ndarray]]:
+    """Per pose, inlier count and mean inlier residual; per block, the inlier mask.
+
+    Each pose's residual sum is added block by block, in block order, so
+    its mean does not depend on the other poses scored with it.
+    """
+    rotations = np.stack([pose.rotation for pose in poses])
+    translations = np.stack([pose.translation for pose in poses])
+    totals = [0] * len(poses)
+    sums = [0.0] * len(poses)
+    keep_per_block: list[np.ndarray] = []
     for block in blocks:
-        norms, _, kept = _evaluate_block(block, transform, tau)
-        kept_per_block.append(kept)
-        if kept.size:
-            total += int(kept.size)
-            res_sum += float(norms[kept].sum())
-    mean = res_sum / total if total else 0.0
-    return total, mean, kept_per_block
+        norms, _, keep = _evaluate_block(block, rotations, translations, tau)
+        keep_per_block.append(keep)
+        for h, count in enumerate(np.count_nonzero(keep, axis=1).tolist()):
+            if count:
+                totals[h] += count
+                sums[h] += float(norms[h][keep[h]].sum())
+    means = [res_sum / total if total else 0.0 for res_sum, total in zip(sums, totals)]
+    return totals, means, keep_per_block
 
 
 def count_inliers(
@@ -283,10 +328,10 @@ def count_inliers(
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     blocks = cset.camera_blocks(stride=stride, restrict_to=restrict_to)
-    _, mean, kept_per_block = _score_blocks(blocks, transform, tau)
-    id_chunks = [block.entry_ids[kept] for block, kept in zip(blocks, kept_per_block)]
+    _, means, keep_per_block = _score_blocks(blocks, [transform], tau)
+    id_chunks = [block.entry_ids[keep[0]] for block, keep in zip(blocks, keep_per_block)]
     ids = np.sort(np.concatenate(id_chunks)) if id_chunks else np.empty(0, dtype=np.int64)
-    return InlierCount(ids=ids, mean_residual=mean)
+    return InlierCount(ids=ids, mean_residual=means[0])
 
 
 @dataclass(frozen=True)
@@ -349,34 +394,33 @@ def _candidate_key(count: int, mean: float, k: int, l: int):
     return (-count, mean, k, l)
 
 
-def _run_iteration(
+def _entry_bearings(cset: CorrespondenceSet) -> np.ndarray:
+    """Unit bearing of each valid entry's pixel, indexed by entry id; NaN elsewhere."""
+    bearings = np.full((cset.n_entries, 3), np.nan)
+    for i, cam in enumerate(cset.cameras):
+        ids = np.flatnonzero(cset.valid & (cset.cam_indices == i))
+        bearings[ids] = pixel_bearings(cam, cset.points2d[ids])
+    return bearings
+
+
+def _sample_poses(
     cset: CorrespondenceSet,
     groups: list[tuple[int, np.ndarray]],
-    blocks: Sequence[CameraBlock],
-    cfg: RansacConfig,
+    bearings: np.ndarray,
+    seed: int,
     k: int,
-):
-    """Best candidate of iteration ``k``, or None."""
-    rng = np.random.default_rng((cfg.seed, k))
+) -> tuple[RigidTransform, ...]:
+    """MoCap poses solved from iteration ``k``'s minimal sample; none if it is degenerate."""
+    rng = np.random.default_rng((seed, k))
     _, group_ids = groups[int(rng.integers(len(groups)))]
     picks = rng.choice(group_ids.size, size=3, replace=False)
     entry_ids = group_ids[picks]
     cam = cset.cameras[int(cset.cam_indices[entry_ids[0]])]
     try:
-        problem = MinimalProblem.from_observations(
-            cam, cset.points3d[entry_ids], cset.points2d[entry_ids]
-        )
-        solutions = solve_p3p(problem)
+        solutions = solve_p3p(MinimalProblem(cset.points3d[entry_ids], bearings[entry_ids]))
     except DegenerateConfigurationError:
-        return None
-    best = None
-    for l, cam_pose in enumerate(solutions):
-        pose = recover_mocap_pose(cam_pose, cam)
-        total, mean, _ = _score_blocks(blocks, pose, cfg.tau)
-        key = _candidate_key(total, mean, k, l)
-        if best is None or key < best[0]:
-            best = (key, pose)
-    return best
+        return ()
+    return tuple(recover_mocap_pose(cam_pose, cam) for cam_pose in solutions)
 
 
 def run_ransac(
@@ -388,9 +432,12 @@ def run_ransac(
 
     Every iteration draws a (camera, frame) pair uniformly among those
     with at least three valid joints, then three distinct joints within
-    it. Degenerate samples and rootless quartics consume their iteration.
+    it, and indexes their bearings, computed once per run. Degenerate
+    samples and rootless quartics consume their iteration. The solutions
+    of ``_SCORE_ITERATIONS`` consecutive iterations are scored in one pass.
     Ties are broken by mean inlier residual, then by iteration order, so
-    the result is independent of thread count.
+    the result is independent of thread count. ``workers`` resolves
+    through :func:`worker_count` with the number of scored entries.
 
     Raises :class:`NoValidSampleError` when nothing can be sampled and
     :class:`InsufficientConsensusError` when the best hypothesis explains
@@ -408,15 +455,25 @@ def run_ransac(
             f"no valid entry survives coarse stride {cfg.coarse_stride}"
         )
 
-    n_workers = worker_count(workers)
+    n_workers = worker_count(workers, n_scored)
+    bearings = _entry_bearings(cset)
     best = None
 
     def reduce_chunk(start: int, stop: int):
         local = None
-        for k in range(start, stop):
-            cand = _run_iteration(cset, groups, blocks, cfg, k)
-            if cand is not None and (local is None or cand[0] < local[0]):
-                local = cand
+        for first in range(start, stop, _SCORE_ITERATIONS):
+            sources, poses = [], []
+            for k in range(first, min(first + _SCORE_ITERATIONS, stop)):
+                for l, pose in enumerate(_sample_poses(cset, groups, bearings, cfg.seed, k)):
+                    sources.append((k, l))
+                    poses.append(pose)
+            if not poses:
+                continue
+            totals, means, _ = _score_blocks(blocks, poses, cfg.tau)
+            for (k, l), total, mean, pose in zip(sources, totals, means, poses):
+                key = _candidate_key(total, mean, k, l)
+                if local is None or key < local[0]:
+                    local = (key, pose)
         return local
 
     if n_workers == 1:

@@ -2,12 +2,12 @@
 
 Minimizes half the mean squared reprojection residual over an active set
 of correspondences, parameterizing the pose as ZYX Euler angles plus a
-translation. The forward pass runs the projection chain of
-:mod:`mocapcal.geometry`, the code every evaluation runs, so refinement
-and evaluation agree on which points lie in front of a camera. Gradients
-are analytic: the pixel residual is chained back through the intrinsics,
-the distortion Jacobian, the perspective division, and the camera and
-pose rotations. Updates use Adam with
+translation. The forward pass runs the stacked projection chain of
+:mod:`mocapcal.geometry` with one pose, the code RANSAC scoring and every
+evaluation run, so refinement and evaluation agree on which points lie in
+front of a camera. Gradients are analytic: the pixel residual is chained
+back through the intrinsics, the distortion Jacobian, the perspective
+division, and the camera and pose rotations. Updates use Adam with
 separate learning rates for the angle and translation blocks and a
 cosine-annealed schedule over ``steps``, which caps the run: it stops
 earlier once the best loss has reached a plateau.
@@ -29,9 +29,8 @@ from .errors import EmptyActiveSetError
 from .geometry import (
     EulerPose,
     RigidTransform,
-    _camera_pixels,
-    _camera_points,
     distortion_jacobian,
+    project_stacked,
     rotation_to_euler,
     rotation_zyx_derivatives,
 )
@@ -149,22 +148,27 @@ def _loss_and_gradient_on_blocks(
     active = 0
     for block in blocks:
         cam = block.camera
-        cam_pts = _camera_points(cam, rot, trans, block.points3d)
-        front = cam_pts[:, 2] > 0.0
+        z, xn, yn, u, v = (
+            coord[0] for coord in project_stacked(cam, rot[None], trans[None], block.points3d.T)
+        )
+        front = z > 0.0
         if not np.any(front):
             continue
         if front.all():
             pts3 = block.points3d
             obs = block.points2d
         else:
-            cam_pts = cam_pts[front]
             pts3 = block.points3d[front]
             obs = block.points2d[front]
-        z = cam_pts[:, 2]
-        pixels, norm = _camera_pixels(cam, cam_pts)
-        xn, yn = norm[:, 0], norm[:, 1]
-        jac = None if cam.distortion is None else distortion_jacobian(cam.distortion, norm)
-        res = pixels - obs
+            z, xn, yn, u, v = z[front], xn[front], yn[front], u[front], v[front]
+        jac = (
+            None
+            if cam.distortion is None
+            else distortion_jacobian(cam.distortion, np.stack([xn, yn], axis=-1))
+        )
+        # A C-ordered (N, 2) residual, whatever the layout of obs, so the
+        # loss sum keeps its summation order.
+        res = np.stack([u - obs[:, 0], v - obs[:, 1]], axis=-1)
         loss_sum += float((res * res).sum())
         active += int(z.size)
 

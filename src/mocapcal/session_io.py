@@ -279,10 +279,6 @@ def _optional_float(value) -> Optional[float]:
     return None if value is None else float(value)
 
 
-def _as_is(value):
-    return value
-
-
 # The JSON types each typed report field accepts, and their name in errors.
 # bool is an int subclass, so it is refused wherever it is not named.
 _JSON_TYPES = {
@@ -293,8 +289,24 @@ _JSON_TYPES = {
 }
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+# The JSON shape each untyped report field must have, and its name in
+# errors. Checked before conversion: tuple() and dict() take too much.
+_JSON_SHAPES = {
+    tuple: (_is_string_list, "a list of strings"),
+    dict: (lambda value: isinstance(value, dict), "an object"),
+}
+
+
 def _convert(kind, value, key: str):
     """``kind(value)``, keeping its errors, then refusing a JSON type the field does not take."""
+    if kind in _JSON_SHAPES:
+        check, name = _JSON_SHAPES[kind]
+        if not check(value):
+            raise ParseError(f"{key} must be {name}")
     converted = kind(value)
     if kind in _JSON_TYPES:
         accepted, name = _JSON_TYPES[kind]
@@ -318,7 +330,7 @@ _REPORT_FIELDS = (
     ("refinement_rejected", "refinement_rejected", bool),
     ("correspondence_counts", "correspondence_counts", (CorrespondenceCounts._fields, int)),
     ("timing", "timing", (tuple(f.name for f in fields(Timing)), float)),
-    ("config", "config_echo", _as_is),
+    ("config", "config_echo", dict),
     ("seed", "seed", int),
     ("warnings", "warnings", tuple),
 )
@@ -328,7 +340,7 @@ _REPORT_DEFAULTS = {
     "mpjpe_gt_px": None,
     "gt_rotation_err_deg": None,
     "gt_translation_err_m": None,
-    "warnings": (),
+    "warnings": [],
 }
 
 

@@ -2,7 +2,9 @@
 
 Shared between the I/O tests and the acceptance suite: every case is a
 (name, writer, expected error class) triple, where the writer drops a
-broken document at the given path.
+broken document at the given path. ``REPORT_CASES`` are single faults in
+a saved report: one top-level field set to a value of the wrong JSON
+shape, with the exact ``ParseError`` message loading it must raise.
 """
 
 import copy
@@ -135,4 +137,21 @@ CASES = [
     MalformedCase("mangled-rotation", _mangled_rotation, ParseError),
     MalformedCase("fractional-validity", _fractional_validity, ParseError),
     MalformedCase("unknown-length-unit", _unknown_length_unit, ParseError),
+]
+
+
+class MalformedReportField(NamedTuple):
+    name: str
+    key: str
+    value: object
+    message: str
+
+
+_NOT_STRINGS = "warnings must be a list of strings"
+
+REPORT_CASES = [
+    MalformedReportField("warnings-string", "warnings", "abc", _NOT_STRINGS),
+    MalformedReportField("warnings-object", "warnings", {"a": 1}, _NOT_STRINGS),
+    MalformedReportField("warnings-numbers", "warnings", [1, 2], _NOT_STRINGS),
+    MalformedReportField("config-number", "config", 5, "config must be an object"),
 ]

@@ -21,7 +21,7 @@ from mocapcal.session_io import (
 )
 from mocapcal.synth import SynthConfig, generate
 
-from malformed_corpus import CASES, valid_doc
+from malformed_corpus import CASES, REPORT_CASES, valid_doc
 
 
 def write_doc(doc, path):
@@ -334,6 +334,36 @@ class TestReportSchema:
             report_from_dict(doc)
         assert type(info.value) is ParseError
         assert str(info.value) == f"{path} must be {expected}"
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("warnings", "abc", "a list of strings"),
+            ("warnings", {"a": 1}, "a list of strings"),
+            ("warnings", [1, 2], "a list of strings"),
+            ("config", 5, "an object"),
+        ],
+        ids=["warnings-string", "warnings-object", "warnings-numbers", "config-number"],
+    )
+    def test_warnings_and_config_of_the_wrong_json_shape_are_refused(
+        self, report_doc, key, value, expected
+    ):
+        doc = copy.deepcopy(report_doc)
+        doc[key] = value
+        with pytest.raises(ParseError) as info:
+            report_from_dict(doc)
+        assert type(info.value) is ParseError
+        assert str(info.value) == f"{key} must be {expected}"
+
+    @pytest.mark.parametrize("case", REPORT_CASES, ids=[c.name for c in REPORT_CASES])
+    def test_malformed_report_corpus(self, report_doc, tmp_path, case):
+        doc = copy.deepcopy(report_doc)
+        doc[case.key] = case.value
+        path = str(tmp_path / f"{case.name}.json")
+        write_doc(doc, path)
+        with pytest.raises(ParseError) as info:
+            load_report(path)
+        assert str(info.value) == case.message
 
     def test_boolean_format_version_is_unsupported(self, report_doc):
         from mocapcal import UnsupportedVersionError

@@ -227,6 +227,17 @@ class TestEvaluationAgainstScalarReference:
             expected_mean = sum(inliers.values()) / len(inliers) if inliers else 0.0
             assert result.mean_residual == pytest.approx(expected_mean, rel=1e-12)
 
+    def test_ransac_winner_matches_a_per_entry_recount(self, data):
+        cset, _, _ = data
+        cfg = RansacConfig(tau=self.TAU, iterations=200, coarse_stride=2)
+        hypothesis = run_ransac(cset, cfg)
+        norms = scalar_residuals(cset, hypothesis.transform, stride=cfg.coarse_stride)
+        inliers = [n for n in norms.values() if n < self.TAU]
+        assert hypothesis.inlier_count == len(inliers)
+        assert hypothesis.mean_inlier_residual == pytest.approx(
+            sum(inliers) / len(inliers), rel=1e-12
+        )
+
     def test_positive_depth_counts_the_reported_pose(self, data):
         cset, _, _ = data
         report = calibrate(

@@ -15,6 +15,7 @@ from mocapcal import (
     run_ransac,
     worker_count,
 )
+from mocapcal.ransac import POOL_MIN_ENTRIES
 from mocapcal.synth import SynthConfig, generate
 
 from helpers import basic_camera, make_set
@@ -291,3 +292,14 @@ class TestWorkerCount:
         assert worker_count(500) == 64
         assert worker_count(-3) == 1
         assert worker_count(None) >= 1
+
+    def test_auto_is_one_thread_below_pool_size(self, monkeypatch):
+        monkeypatch.delenv("RPGD_THREADS", raising=False)
+        assert worker_count(None, POOL_MIN_ENTRIES - 1) == 1
+        assert worker_count(0, POOL_MIN_ENTRIES - 1) == 1
+        assert worker_count(None, POOL_MIN_ENTRIES) == worker_count(None)
+        assert worker_count(3, 10) == 3
+        monkeypatch.setenv("RPGD_THREADS", "0")
+        assert worker_count(None, 10) == 1
+        monkeypatch.setenv("RPGD_THREADS", "2")
+        assert worker_count(None, 10) == 2
