@@ -10,10 +10,6 @@ class CalibrationError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonFiniteProjectionError(CalibrationError):
-    """A point lies on the principal plane, so its pixel is undefined."""
-
-
 class DegenerateConfigurationError(CalibrationError):
     """A minimal sample is collinear or coincident and admits no pose."""
 

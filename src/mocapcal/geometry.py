@@ -18,9 +18,13 @@ form: for H poses, camera and pose are composed (``R_c R``,
 per coordinate, in a single ``(3H, 3) @ (3, N)`` product. Depth, the
 normalized and the pixel coordinates then come out as ``(H, N)`` arrays.
 RANSAC scoring, every evaluation (via :func:`project_points`, its H = 1
-case) and the refinement run this chain. Its inverse for pixels,
-:func:`pixel_bearings`, gives each pixel's unit bearing on its own, so a
-bearing computed in bulk equals the one computed for that pixel alone.
+case) and the refinement run this chain, and it is the only way a point is
+projected. It never raises for a point on the principal plane: that
+point's pixel comes out non-finite, and callers gate on depth. Its inverse
+for pixels, :func:`pixel_bearings`, gives each pixel's unit bearing on its
+own, so a bearing computed in bulk equals the one computed for that pixel
+alone; a pixel where the distortion model cannot be inverted gets a NaN
+bearing.
 """
 
 from __future__ import annotations
@@ -31,13 +35,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteProjectionError
-
 # Orthonormality tolerance for rotations accepted by constructors.
 ROTATION_TOL = 1e-9
 
-# A projection ray closer than this to the principal plane has no pixel.
-MIN_ABS_DEPTH = 1e-12
+# Largest forward residual, in normalized coordinates, of an undistorted
+# point that counts as converged.
+UNDISTORT_RESIDUAL_TOL = 1e-9
 
 
 def _as_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -94,13 +97,6 @@ class RigidTransform:
         """Transform one point ``(3,)`` or a batch ``(..., 3)``."""
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Return the transform applying ``other`` first, then ``self``."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
 
     def inverse(self) -> "RigidTransform":
         return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
@@ -209,14 +205,6 @@ class EulerPose:
         return RigidTransform(rotation_zyx(self.alpha, self.beta, self.gamma), self.translation)
 
 
-@dataclass(frozen=True, eq=False)
-class Projection:
-    """A projected pixel together with its camera-frame depth."""
-
-    pixel: np.ndarray
-    depth: float
-
-
 def rotation_zyx(alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Build ``Rz(gamma) @ Ry(beta) @ Rx(alpha)`` directly."""
     ca, sa = math.cos(alpha), math.sin(alpha)
@@ -246,11 +234,6 @@ def rotation_zyx_derivatives(
     drz = np.array([[-sg, -cg, 0.0], [cg, -sg, 0.0], [0.0, 0.0, 0.0]])
     rot = rz @ ry @ rx
     return rot, rz @ ry @ drx, rz @ dry @ rx, drz @ ry @ rx
-
-
-def euler_to_rotation(pose: EulerPose) -> np.ndarray:
-    """Rotation matrix of ``pose`` (translation is ignored)."""
-    return rotation_zyx(pose.alpha, pose.beta, pose.gamma)
 
 
 def rotation_to_euler(rotation: np.ndarray) -> tuple[float, float, float]:
@@ -336,7 +319,10 @@ def undistort_normalized(
     Each point stops on its own once its step falls below ``tol`` in both
     coordinates, or after ``iterations`` steps, so its result never depends
     on the other points in ``xy``. A point whose step comes out non-finite
-    (a singular Jacobian) keeps its last finite iterate.
+    (a singular Jacobian) keeps its last finite iterate. A point whose
+    result, distorted again, misses its input by more than
+    ``UNDISTORT_RESIDUAL_TOL`` in either coordinate did not converge (its
+    pixel lies where the model cannot be inverted) and comes back as NaN.
     """
     distorted = np.asarray(xy, dtype=np.float64)
     target = distorted.reshape(-1, 2)
@@ -363,6 +349,9 @@ def undistort_normalized(
             current[active[finite], 1] = ny[finite]
             moving = finite & ~((np.abs(dx) < tol) & (np.abs(dy) < tol))
             active = active[moving]
+        xd, yd = _distort(coeffs, current[:, 0], current[:, 1])
+        miss = np.maximum(np.abs(xd - target[:, 0]), np.abs(yd - target[:, 1]))
+        current[~(miss <= UNDISTORT_RESIDUAL_TOL)] = np.nan
     return current.reshape(distorted.shape)
 
 
@@ -387,7 +376,8 @@ def pixel_bearings(camera: CameraModel, pixels: np.ndarray) -> np.ndarray:
     Maps each pixel back through the intrinsics (honoring skew), then
     through the inverse of the distortion model, and normalizes the ray
     ``(x, y, 1)``. Every step is per pixel, so a bearing does not depend on
-    the other pixels in ``pixels``.
+    the other pixels in ``pixels``. A pixel :func:`undistort_normalized`
+    cannot invert gets a NaN bearing.
     """
     pix = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     yn = (pix[:, 1] - camera.cy) / camera.fy
@@ -438,9 +428,10 @@ def project_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project MoCap-frame points through ``transform`` and ``camera``.
 
-    Vectorized and exception-free: returns ``(pixels (..., 2), depths)``
-    where pixels of points near the principal plane come out non-finite.
-    Callers gate on depth. This is :func:`project_stacked` with one pose.
+    Vectorized and exception-free: returns ``(pixels (..., 2), depths)``.
+    A point on the camera's principal plane (depth 0) gets a non-finite
+    pixel and a point behind the camera a finite one, so callers gate on
+    depth. This is :func:`project_stacked` with one pose.
     """
     pts = np.asarray(points, dtype=np.float64)
     lead = pts.shape[:-1]
@@ -448,23 +439,6 @@ def project_points(
         camera, transform.rotation[None], transform.translation[None], pts.reshape(-1, 3).T
     )
     return np.stack([u[0], v[0]], axis=-1).reshape(lead + (2,)), z[0].reshape(lead)
-
-
-def project(camera: CameraModel, transform: RigidTransform, point: np.ndarray) -> Projection:
-    """Project a single MoCap-frame point, checking for a defined pixel.
-
-    Raises :class:`NonFiniteProjectionError` when the point sits on the
-    camera's principal plane (|depth| < 1e-12). Negative depths project
-    fine; it is the caller's job to treat them as behind the camera.
-    """
-    pt = _as_array(point, (3,), "point")
-    pixel, depth = project_points(camera, transform, pt)
-    depth = float(depth)
-    if abs(depth) < MIN_ABS_DEPTH:
-        raise NonFiniteProjectionError(
-            f"point {pt.tolist()} lies on the principal plane (depth {depth:.3e})"
-        )
-    return Projection(pixel=pixel, depth=depth)
 
 
 def rotation_geodesic_deg(rot_a: np.ndarray, rot_b: np.ndarray) -> float:

@@ -1,16 +1,19 @@
-"""Correspondence storage and robust pose hypothesis search.
+"""Storage of 3D-2D correspondences and robust pose hypothesis search.
 
 A correspondence ties one MoCap-frame 3D joint position at one frame to
-one pixel detection in one camera. The sampler draws minimal samples of
-three joints seen by a single camera in a single frame, solves the
-three-point pose problem, and scores each hypothesis by counting
-reprojection inliers over a frame-strided subset of the data.
-``_evaluate_block`` alone decides what is in front of a camera and what
-is an inlier, for a stack of poses at once; scoring and the stride-1
+one pixel detection in one camera. :class:`CorrespondenceSet` holds them
+as parallel columns, built by its constructor only, and hands them out as
+per-camera blocks. The sampler draws minimal samples of three joints seen
+by a single camera in a single frame, solves the three-point pose
+problem, and scores each hypothesis by counting reprojection inliers over
+a frame-strided subset of the data. ``_evaluate_block`` alone decides
+what is in front of a camera and what is an inlier, for a stack of poses
+at once, through the stacked projection chain; scoring and the stride-1
 evaluation reduce what it returns.
 
 The work is done in bulk. Every valid pixel's bearing is computed once
-per run, and each iteration indexes the three it samples. The solutions
+per run, and each iteration indexes the three it samples; a sample with a
+pixel the distortion model cannot invert is degenerate. The solutions
 of ``_SCORE_ITERATIONS`` consecutive iterations are scored together, in
 one pass of the stacked projection chain per camera block (the batching
 of preemptive RANSAC, Nister 2005, without its early termination).
@@ -30,7 +33,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .errors import (
     InsufficientConsensusError,
     NoValidSampleError,
 )
-from .geometry import CameraModel, RigidTransform, pixel_bearings, project, project_stacked
+from .geometry import CameraModel, RigidTransform, pixel_bearings, project_stacked
 from .p3p import MinimalProblem, recover_mocap_pose, solve_p3p
 
 MAX_WORKERS = 64
@@ -75,28 +78,6 @@ def worker_count(requested: Optional[int] = None, n_scored: Optional[int] = None
     return max(1, min(int(requested), MAX_WORKERS))
 
 
-@dataclass(frozen=True, eq=False)
-class Correspondence:
-    """One (camera, joint, frame) observation pairing 3D with 2D."""
-
-    cam_index: int
-    joint_index: int
-    frame_index: int
-    point3d: np.ndarray
-    point2d: np.ndarray
-    valid: bool
-
-    def __post_init__(self):
-        pt3 = np.asarray(self.point3d, dtype=np.float64).reshape(3)
-        pt2 = np.asarray(self.point2d, dtype=np.float64).reshape(2)
-        if self.valid and not (np.all(np.isfinite(pt3)) and np.all(np.isfinite(pt2))):
-            raise ValueError("a valid correspondence must have finite coordinates")
-        pt3.setflags(write=False)
-        pt2.setflags(write=False)
-        object.__setattr__(self, "point3d", pt3)
-        object.__setattr__(self, "point2d", pt2)
-
-
 class CameraBlock(NamedTuple):
     """All selected entries of one camera, flattened for vectorized math.
 
@@ -116,8 +97,7 @@ class CorrespondenceSet:
     """Columnar store of correspondences for N cameras, J joints, T frames.
 
     Entries live in parallel arrays, which keeps scoring and refinement
-    vectorizable for hundreds of thousands of rows. Row views are
-    materialized lazily as :class:`Correspondence` objects.
+    vectorizable for hundreds of thousands of rows.
     """
 
     def __init__(
@@ -176,22 +156,6 @@ class CorrespondenceSet:
         ):
             arr.setflags(write=False)
 
-    @classmethod
-    def from_entries(
-        cls,
-        cameras: Sequence[CameraModel],
-        entries: Sequence[Correspondence],
-        dims: tuple[int, int, int],
-    ) -> "CorrespondenceSet":
-        m = len(entries)
-        cam_idx = np.fromiter((e.cam_index for e in entries), dtype=np.int64, count=m)
-        joint_idx = np.fromiter((e.joint_index for e in entries), dtype=np.int64, count=m)
-        frame_idx = np.fromiter((e.frame_index for e in entries), dtype=np.int64, count=m)
-        pts3 = np.array([e.point3d for e in entries], dtype=np.float64).reshape(m, 3)
-        pts2 = np.array([e.point2d for e in entries], dtype=np.float64).reshape(m, 2)
-        valid = np.fromiter((e.valid for e in entries), dtype=bool, count=m)
-        return cls(cameras, cam_idx, joint_idx, frame_idx, pts3, pts2, valid, dims)
-
     @property
     def n_entries(self) -> int:
         return int(self.cam_indices.shape[0])
@@ -199,31 +163,34 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return self.n_entries
 
-    def entry(self, idx: int) -> Correspondence:
-        return Correspondence(
-            cam_index=int(self.cam_indices[idx]),
-            joint_index=int(self.joint_indices[idx]),
-            frame_index=int(self.frame_indices[idx]),
-            point3d=self.points3d[idx],
-            point2d=self.points2d[idx],
-            valid=bool(self.valid[idx]),
-        )
-
-    def __iter__(self) -> Iterator[Correspondence]:
-        return (self.entry(i) for i in range(self.n_entries))
-
     def selection_mask(
         self, stride: int = 1, restrict_to: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Boolean mask of valid entries at the given frame stride."""
+        """Boolean mask of valid entries at the given frame stride.
+
+        ``restrict_to``, when given, is a 1-D integer array of entry ids
+        in ``[0, n_entries)`` that further limits the selection; anything
+        else, an empty array aside, raises :class:`ValueError` naming the
+        first bad id.
+        """
         if stride < 1:
             raise ValueError("stride must be >= 1")
         mask = self.valid.copy()
         if stride > 1:
             mask &= self.frame_indices % stride == 0
         if restrict_to is not None:
+            ids = np.asarray(restrict_to)
             keep = np.zeros(self.n_entries, dtype=bool)
-            keep[np.asarray(restrict_to, dtype=np.int64)] = True
+            if ids.size:
+                if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
+                    raise ValueError(
+                        f"restrict_to id {ids.ravel()[:1].tolist()[0]!r}: ids must be "
+                        f"a 1-D integer array, got {ids.dtype} of shape {ids.shape}"
+                    )
+                if ids.min() < 0 or ids.max() >= self.n_entries:
+                    bad = ids[(ids < 0) | (ids >= self.n_entries)][0]
+                    raise ValueError(f"restrict_to id {bad} is outside [0, {self.n_entries})")
+                keep[ids] = True
             mask &= keep
         return mask
 
@@ -245,18 +212,6 @@ class CorrespondenceSet:
                 pts2 = np.take(self.points2d.T, ids, axis=1).T
                 blocks.append(CameraBlock(i, cam, ids, pts3, pts2))
         return blocks
-
-
-def residual(
-    corr: Correspondence, camera: CameraModel, transform: RigidTransform
-) -> tuple[np.ndarray, float]:
-    """Reprojection residual (predicted - observed) and its depth.
-
-    Raises :class:`NonFiniteProjectionError` on the principal plane, like
-    :func:`mocapcal.geometry.project`.
-    """
-    proj = project(camera, transform, corr.point3d)
-    return proj.pixel - corr.point2d, proj.depth
 
 
 class InlierCount(NamedTuple):
@@ -410,14 +365,21 @@ def _sample_poses(
     seed: int,
     k: int,
 ) -> tuple[RigidTransform, ...]:
-    """MoCap poses solved from iteration ``k``'s minimal sample; none if it is degenerate."""
+    """MoCap poses solved from iteration ``k``'s minimal sample; none if it is degenerate.
+
+    A sample is degenerate when P3P rejects it, or when one of its pixels
+    has no bearing (NaN: the distortion model cannot be inverted there).
+    """
     rng = np.random.default_rng((seed, k))
     _, group_ids = groups[int(rng.integers(len(groups)))]
     picks = rng.choice(group_ids.size, size=3, replace=False)
     entry_ids = group_ids[picks]
     cam = cset.cameras[int(cset.cam_indices[entry_ids[0]])]
+    sample_bearings = bearings[entry_ids]
+    if not np.isfinite(sample_bearings).all():
+        return ()
     try:
-        solutions = solve_p3p(MinimalProblem(cset.points3d[entry_ids], bearings[entry_ids]))
+        solutions = solve_p3p(MinimalProblem(cset.points3d[entry_ids], sample_bearings))
     except DegenerateConfigurationError:
         return ()
     return tuple(recover_mocap_pose(cam_pose, cam) for cam_pose in solutions)

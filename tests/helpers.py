@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mocapcal import CameraModel, Correspondence, CorrespondenceSet
+from mocapcal import CameraModel, CorrespondenceSet, RigidTransform
 
 BASIC_K = np.array([[1000.0, 0.0, 640.0], [0.0, 1000.0, 360.0], [0.0, 0.0, 1.0]])
 UNIT_K = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -39,15 +39,29 @@ def unit_camera():
 
 def make_set(cameras, rows, dims):
     """Build a CorrespondenceSet from (cam, joint, frame, p3, p2, valid) rows."""
-    entries = [
-        Correspondence(
-            cam_index=cam,
-            joint_index=joint,
-            frame_index=frame,
-            point3d=np.asarray(p3, dtype=np.float64),
-            point2d=np.asarray(p2, dtype=np.float64),
-            valid=valid,
-        )
-        for cam, joint, frame, p3, p2, valid in rows
-    ]
-    return CorrespondenceSet.from_entries(cameras, entries, dims)
+    cams, joints, frames, pts3, pts2, valid = zip(*rows)
+    return CorrespondenceSet(
+        cameras,
+        np.array(cams, dtype=np.int64),
+        np.array(joints, dtype=np.int64),
+        np.array(frames, dtype=np.int64),
+        np.array(pts3, dtype=np.float64),
+        np.array(pts2, dtype=np.float64),
+        np.array(valid, dtype=bool),
+        dims,
+    )
+
+
+def camera_to_mocap(camera, transform):
+    """The transform taking ``camera``'s frame back to the MoCap frame.
+
+    The camera's inverse first, then ``transform``'s:
+    ``R_b R_c^T`` and ``R_b (-R_c^T t_c) + t_b``, where ``(R_b, t_b)``
+    inverts ``transform``.
+    """
+    back = transform.inverse()
+    cam_back = RigidTransform(camera.rotation.T, -camera.rotation.T @ camera.translation)
+    return RigidTransform(
+        back.rotation @ cam_back.rotation,
+        back.rotation @ cam_back.translation + back.translation,
+    )

@@ -82,3 +82,34 @@ def test_camera_block_fields():
     from mocapcal.ransac import CameraBlock
 
     assert {"camera", "entry_ids", "points3d", "points2d"} <= set(CameraBlock._fields)
+
+
+def test_correspondence_set_members():
+    from helpers import basic_camera, make_set
+
+    cset = make_set([basic_camera()], [(0, 0, 0, (0.0, 0.0, 2.0), (640.0, 360.0), True)], (1, 1, 1))
+    for name in (
+        "camera_blocks",
+        "selection_mask",
+        "n_entries",
+        "cameras",
+        "dims",
+        "cam_indices",
+        "frame_indices",
+        "valid",
+        "points3d",
+        "points2d",
+    ):
+        assert getattr(cset, name, None) is not None, name
+
+
+def test_inlier_count_has_ids():
+    from mocapcal.ransac import InlierCount
+
+    assert "ids" in InlierCount._fields
+
+
+def test_calibrate_takes_ground_truth_and_warnings():
+    from mocapcal.pipeline import calibrate
+
+    assert {"gt_extrinsic", "warnings"} <= set(inspect.signature(calibrate).parameters)

@@ -9,13 +9,10 @@ from mocapcal import (
     CameraModel,
     DistortionCoeffs,
     EulerPose,
-    NonFiniteProjectionError,
     RigidTransform,
     distort_normalized,
     distortion_jacobian,
-    euler_to_rotation,
     nearest_rotation,
-    project,
     project_points,
     rotation_geodesic_deg,
     rotation_to_euler,
@@ -43,8 +40,10 @@ class TestEulerRotations:
             assert abs(np.linalg.det(rot) - 1.0) < 1e-12
 
     def test_euler_to_rotation_uses_pose_angles(self):
-        pose = EulerPose(0.1, -0.2, 0.3, np.zeros(3))
-        np.testing.assert_allclose(euler_to_rotation(pose), rotation_zyx(0.1, -0.2, 0.3))
+        pose = EulerPose(0.1, -0.2, 0.3, np.array([1.0, 2.0, 3.0]))
+        transform = pose.to_transform()
+        np.testing.assert_array_equal(transform.rotation, rotation_zyx(0.1, -0.2, 0.3))
+        np.testing.assert_array_equal(transform.translation, [1.0, 2.0, 3.0])
 
     def test_identity_matrix_maps_to_zero_angles(self):
         assert rotation_to_euler(np.eye(3)) == (0.0, 0.0, 0.0)
@@ -94,10 +93,15 @@ class TestEulerRotations:
 
 class TestRigidTransform:
     def test_compose_then_inverse_is_identity(self, rng):
+        def compose(a, b):
+            """``b`` first, then ``a``."""
+            rotation = a.rotation @ b.rotation
+            return RigidTransform(rotation, a.rotation @ b.translation + a.translation)
+
         t1 = RigidTransform(random_rotation_matrix(rng), rng.uniform(-1, 1, 3))
         t2 = RigidTransform(random_rotation_matrix(rng), rng.uniform(-1, 1, 3))
-        both = t1.compose(t2)
-        back = t2.inverse().compose(t1.inverse()).compose(both)
+        both = compose(t1, t2)
+        back = compose(compose(t2.inverse(), t1.inverse()), both)
         np.testing.assert_allclose(back.rotation, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(back.translation, 0.0, atol=1e-12)
 
@@ -141,21 +145,23 @@ class TestCameraModel:
 
 class TestProjection:
     def test_optical_axis_point(self, camera):
-        proj = project(camera, RigidTransform.identity(), np.array([0.0, 0.0, 2.0]))
-        np.testing.assert_allclose(proj.pixel, [640.0, 360.0])
-        assert proj.depth == 2.0
+        pixels, depths = project_points(camera, RigidTransform.identity(), [0.0, 0.0, 2.0])
+        np.testing.assert_allclose(pixels, [640.0, 360.0])
+        assert depths == 2.0
 
     def test_off_axis_point(self, camera):
-        proj = project(camera, RigidTransform.identity(), np.array([0.2, 0.0, 2.0]))
-        np.testing.assert_allclose(proj.pixel, [740.0, 360.0])
+        pixels, _ = project_points(camera, RigidTransform.identity(), [0.2, 0.0, 2.0])
+        np.testing.assert_allclose(pixels, [740.0, 360.0])
 
     def test_negative_depth_projects_without_error(self, camera):
-        proj = project(camera, RigidTransform.identity(), np.array([0.0, 0.0, -2.0]))
-        assert proj.depth == -2.0
+        pixels, depths = project_points(camera, RigidTransform.identity(), [0.0, 0.0, -2.0])
+        assert depths == -2.0
+        assert np.isfinite(pixels).all()
 
-    def test_principal_plane_raises(self, camera):
-        with pytest.raises(NonFiniteProjectionError):
-            project(camera, RigidTransform.identity(), np.array([0.1, 0.1, 0.0]))
+    def test_principal_plane_gives_non_finite_pixel(self, camera):
+        pixels, depths = project_points(camera, RigidTransform.identity(), [0.1, 0.1, 0.0])
+        assert depths == 0.0
+        assert not np.isfinite(pixels).any()
 
     def test_matches_pinhole_formula(self, rng):
         k = np.array([[800.0, 2.5, 320.0], [0.0, 820.0, 240.0], [0.0, 0.0, 1.0]])
@@ -174,8 +180,9 @@ class TestProjection:
         world = transform.apply(point)
         cam_pt = cam.rotation @ world + cam.translation
         expected = BASIC_K @ (cam_pt / cam_pt[2])
-        proj = project(cam, transform, point)
-        np.testing.assert_allclose(proj.pixel, expected[:2], atol=1e-9)
+        pixels, depths = project_points(cam, transform, point)
+        np.testing.assert_allclose(pixels, expected[:2], atol=1e-9)
+        np.testing.assert_allclose(depths, cam_pt[2], atol=1e-12)
 
 
 class TestDistortion:

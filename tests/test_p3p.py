@@ -234,9 +234,11 @@ class TestRecoverMocapPose:
 
     def test_compose_then_recover_round_trip(self, rng):
         cam = basic_camera(rotation=random_rotation_matrix(rng), translation=rng.uniform(-1, 1, 3))
-        cam_extrinsic = RigidTransform(cam.rotation, cam.translation)
         target = RigidTransform(random_rotation_matrix(rng), rng.uniform(-1, 1, 3))
-        recovered = recover_mocap_pose(cam_extrinsic.compose(target), cam)
+        camera_from_mocap = RigidTransform(
+            cam.rotation @ target.rotation, cam.rotation @ target.translation + cam.translation
+        )
+        recovered = recover_mocap_pose(camera_from_mocap, cam)
         np.testing.assert_allclose(recovered.rotation, target.rotation, atol=1e-10)
         np.testing.assert_allclose(recovered.translation, target.translation, atol=1e-10)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,7 @@ from mocapcal import (
     calibrate,
     compute_mpjpe,
     count_inliers,
-    project,
-    residual,
+    project_points,
     rotation_geodesic_deg,
     run_ransac,
 )
@@ -43,7 +44,7 @@ class TestComputeMpjpe:
     def test_hand_mean_of_two_residuals(self):
         cam = unit_camera()
         p3 = np.array([0.0, 0.0, 1.0])
-        u = project(cam, RigidTransform.identity(), p3).pixel
+        u, _ = project_points(cam, RigidTransform.identity(), p3)
         rows = [
             (0, 0, 0, p3, u + np.array([3.0, 0.0]), True),
             (0, 1, 0, p3, u + np.array([0.0, 5.0]), True),
@@ -58,7 +59,7 @@ class TestComputeMpjpe:
     def test_invalid_entries_are_excluded(self):
         cam = unit_camera()
         p3 = np.array([0.0, 0.0, 1.0])
-        u = project(cam, RigidTransform.identity(), p3).pixel
+        u, _ = project_points(cam, RigidTransform.identity(), p3)
         rows = [
             (0, 0, 0, p3, u + np.array([3.0, 0.0]), True),
             (0, 1, 0, p3, u + np.array([0.0, 100.0]), False),
@@ -183,14 +184,44 @@ def session_with_entries_behind_camera():
     return cset, gt
 
 
+def reference_residual(camera, transform, point3d, pixel):
+    """Residual norm and depth of one entry through a pinhole camera, on Python floats.
+
+    Written independently of the stacked projection chain: compose camera
+    and pose (``R_c R``, ``R_c t + t_c``), take the point into the camera
+    frame, divide by depth, apply the intrinsics and subtract the pixel.
+    """
+    assert camera.distortion is None
+    rot_c, t_c = camera.rotation.tolist(), camera.translation.tolist()
+    rot, t = transform.rotation.tolist(), transform.translation.tolist()
+    rot_cr = [[sum(rot_c[i][k] * rot[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    t_cr = [sum(rot_c[i][k] * t[k] for k in range(3)) + t_c[i] for i in range(3)]
+    p = [float(v) for v in point3d]
+    x, y, z = (sum(rot_cr[i][k] * p[k] for k in range(3)) + t_cr[i] for i in range(3))
+    xn, yn = x / z, y / z
+    u = camera.fx * xn + camera.skew * yn + camera.cx
+    v = camera.fy * yn + camera.cy
+    return math.hypot(u - float(pixel[0]), v - float(pixel[1])), z
+
+
 def scalar_residuals(cset, transform, stride=1, restrict_to=None):
-    """Entry id -> residual norm for selected entries in front of their camera."""
+    """Entry id -> residual norm for selected entries in front of their camera.
+
+    Selects valid entries at frames divisible by ``stride`` (and among
+    ``restrict_to``, when given) entry by entry, then applies
+    :func:`reference_residual` to each.
+    """
+    allowed = None if restrict_to is None else set(np.asarray(restrict_to).tolist())
     norms = {}
-    for i in np.flatnonzero(cset.selection_mask(stride, restrict_to)):
-        corr = cset.entry(i)
-        res, depth = residual(corr, cset.cameras[corr.cam_index], transform)
+    for i in range(cset.n_entries):
+        if not cset.valid[i] or int(cset.frame_indices[i]) % stride:
+            continue
+        if allowed is not None and i not in allowed:
+            continue
+        camera = cset.cameras[int(cset.cam_indices[i])]
+        norm, depth = reference_residual(camera, transform, cset.points3d[i], cset.points2d[i])
         if depth > 0.0:
-            norms[int(i)] = float(np.hypot(res[0], res[1]))
+            norms[i] = norm
     return norms
 
 

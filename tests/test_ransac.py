@@ -1,20 +1,24 @@
+import re
+
 import numpy as np
 import pytest
 
 from mocapcal import (
-    Correspondence,
     CorrespondenceSet,
+    DistortionCoeffs,
+    EmptyActiveSetError,
     InsufficientConsensusError,
     NoValidSampleError,
     RansacConfig,
     RigidTransform,
+    compute_mpjpe,
     count_inliers,
-    project,
-    residual,
+    project_points,
     rotation_geodesic_deg,
     run_ransac,
     worker_count,
 )
+from mocapcal import ransac
 from mocapcal.ransac import POOL_MIN_ENTRIES
 from mocapcal.synth import SynthConfig, generate
 
@@ -44,11 +48,10 @@ class TestCorrespondenceSet:
         cset = make_set([cam], rows, dims=(1, 3, 6))
         assert cset.n_entries == 3
         for k, (c, j, t, p3, p2, valid) in enumerate(rows):
-            entry = cset.entry(k)
-            assert (entry.cam_index, entry.joint_index, entry.frame_index) == (c, j, t)
-            np.testing.assert_allclose(entry.point3d, p3)
-            np.testing.assert_allclose(entry.point2d, p2)
-            assert entry.valid == valid
+            assert (cset.cam_indices[k], cset.joint_indices[k], cset.frame_indices[k]) == (c, j, t)
+            np.testing.assert_allclose(cset.points3d[k], p3)
+            np.testing.assert_allclose(cset.points2d[k], p2)
+            assert cset.valid[k] == valid
 
     def test_rejects_out_of_range_indices(self):
         cam = basic_camera()
@@ -57,30 +60,22 @@ class TestCorrespondenceSet:
             make_set([cam], rows, dims=(1, 3, 6))
 
     def test_rejects_empty_camera_list(self):
+        empty = np.empty(0)
         with pytest.raises(ValueError, match="camera"):
-            CorrespondenceSet.from_entries([], [], dims=(0, 1, 1))
-
-    def test_valid_entry_requires_finite_points(self):
-        with pytest.raises(ValueError, match="finite"):
-            Correspondence(
-                cam_index=0,
-                joint_index=0,
-                frame_index=0,
-                point3d=np.array([np.nan, 0.0, 1.0]),
-                point2d=np.array([0.0, 0.0]),
-                valid=True,
+            CorrespondenceSet(
+                [], empty, empty, empty, np.empty((0, 3)), np.empty((0, 2)), empty, dims=(0, 1, 1)
             )
 
+    def test_valid_entry_requires_finite_points(self):
+        for p3, p2 in [((np.nan, 0.0, 1.0), (0.0, 0.0)), ((0.0, 0.0, 1.0), (np.inf, 0.0))]:
+            with pytest.raises(ValueError, match="finite"):
+                make_set([basic_camera()], [(0, 0, 0, p3, p2, True)], dims=(1, 1, 1))
+
     def test_invalid_entry_allows_nan(self):
-        corr = Correspondence(
-            cam_index=0,
-            joint_index=0,
-            frame_index=0,
-            point3d=np.array([np.nan, 0.0, 1.0]),
-            point2d=np.array([0.0, 0.0]),
-            valid=False,
-        )
-        assert not corr.valid
+        rows = [(0, 0, 0, (np.nan, 0.0, 1.0), (0.0, np.nan), False)]
+        cset = make_set([basic_camera()], rows, dims=(1, 1, 1))
+        assert not cset.valid[0]
+        assert np.isnan(cset.points3d[0, 0]) and np.isnan(cset.points2d[0, 1])
 
     def test_arrays_are_readonly(self, clean_session):
         cset = clean_session.correspondences
@@ -115,33 +110,37 @@ class TestCorrespondenceSet:
 
 
 class TestResidual:
+    """The reprojection residual (predicted - observed) the evaluation kernel reduces."""
+
     def test_self_consistent_projection_is_zero(self):
         from mocapcal import rotation_zyx
 
         cam = basic_camera()
         transform = RigidTransform(rotation_zyx(0.2, -0.1, 0.3), np.array([0.1, -0.2, 0.3]))
         p3 = np.array([0.2, 0.1, 4.0])
-        p2 = project(cam, transform, p3).pixel
-        corr = Correspondence(0, 0, 0, p3, p2, True)
-        res, depth = residual(corr, cam, transform)
-        assert np.linalg.norm(res) < 1e-10
+        p2, depth = project_points(cam, transform, p3)
         assert depth > 0
+        cset = make_set([cam], [(0, 0, 0, p3, p2, True)], dims=(1, 1, 1))
+        assert compute_mpjpe(cset, transform) < 1e-10
 
     def test_shifted_observation_gives_negative_shift(self):
         cam = basic_camera()
         transform = RigidTransform.identity()
         p3 = np.array([0.0, 0.0, 2.0])
-        p2 = project(cam, transform, p3).pixel + np.array([3.0, 4.0])
-        corr = Correspondence(0, 0, 0, p3, p2, True)
-        res, _ = residual(corr, cam, transform)
-        np.testing.assert_allclose(res, [-3.0, -4.0], atol=1e-12)
-        assert abs(np.linalg.norm(res) - 5.0) < 1e-12
+        predicted, _ = project_points(cam, transform, p3)
+        p2 = predicted + np.array([3.0, 4.0])
+        np.testing.assert_allclose(predicted - p2, [-3.0, -4.0], atol=1e-12)
+        cset = make_set([cam], [(0, 0, 0, p3, p2, True)], dims=(1, 1, 1))
+        assert abs(compute_mpjpe(cset, transform) - 5.0) < 1e-12
 
     def test_behind_camera_reports_negative_depth(self):
         cam = basic_camera()
-        corr = Correspondence(0, 0, 0, np.array([0.0, 0.0, -2.0]), np.array([0.0, 0.0]), True)
-        _, depth = residual(corr, cam, RigidTransform.identity())
+        p3 = np.array([0.0, 0.0, -2.0])
+        _, depth = project_points(cam, RigidTransform.identity(), p3)
         assert depth < 0
+        cset = make_set([cam], [(0, 0, 0, p3, (0.0, 0.0), True)], dims=(1, 1, 1))
+        with pytest.raises(EmptyActiveSetError):
+            compute_mpjpe(cset, RigidTransform.identity())
 
 
 class TestCountInliers:
@@ -162,7 +161,7 @@ class TestCountInliers:
         cam = basic_camera()
         transform = RigidTransform.identity()
         p3 = np.array([0.0, 0.0, 2.0])
-        exact = project(cam, transform, p3).pixel
+        exact, _ = project_points(cam, transform, p3)
         rows = [
             (0, 0, 0, p3, exact + np.array([5.0, 0.0]), True),
             (0, 1, 0, p3, exact + np.array([4.999999, 0.0]), True),
@@ -182,7 +181,7 @@ class TestCountInliers:
     def test_invalid_entries_never_count(self):
         cam = basic_camera()
         p3 = np.array([0.0, 0.0, 2.0])
-        p2 = project(cam, RigidTransform.identity(), p3).pixel
+        p2, _ = project_points(cam, RigidTransform.identity(), p3)
         rows = [(0, 0, 0, p3, p2, True), (0, 1, 0, p3, p2, False)]
         cset = make_set([cam], rows, dims=(1, 2, 1))
         result = count_inliers(cset, RigidTransform.identity(), tau=1.0)
@@ -194,6 +193,32 @@ class TestCountInliers:
         cset = make_set([cam], rows, dims=(1, 1, 1))
         result = count_inliers(cset, RigidTransform.identity(), tau=1e9)
         assert len(result.ids) == 0
+
+    # clean_session has 2 x 17 x 100 = 3400 entries.
+    @pytest.mark.parametrize(
+        "restrict, named",
+        [
+            ([-3, -2], "-3"),
+            ([0.7], "0.7"),
+            ([[1, 2]], "1"),
+            ([True, False], "True"),
+            ([5, 3400], "3400"),
+        ],
+        ids=["negative", "float", "2-d", "mask", "one-past-the-end"],
+    )
+    def test_bad_restrict_to_names_the_first_bad_id(self, clean_session, restrict, named):
+        cset, gt = clean_session.correspondences, clean_session.gt_extrinsic
+        assert cset.n_entries == 3400
+        with pytest.raises(ValueError, match=re.escape(f"restrict_to id {named}")):
+            count_inliers(cset, gt, tau=1.0, restrict_to=restrict)
+        with pytest.raises(ValueError, match=re.escape(f"restrict_to id {named}")):
+            compute_mpjpe(cset, gt, restrict_to=np.array(restrict))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, bool])
+    def test_empty_restrict_to_selects_nothing(self, clean_session, dtype):
+        cset, gt = clean_session.correspondences, clean_session.gt_extrinsic
+        assert not cset.selection_mask(restrict_to=np.empty(0, dtype=dtype)).any()
+        assert len(count_inliers(cset, gt, tau=1.0, restrict_to=[]).ids) == 0
 
 
 class TestRunRansac:
@@ -249,6 +274,31 @@ class TestRunRansac:
         assert single.mean_inlier_residual == parallel.mean_inlier_residual
         assert np.array_equal(single.transform.rotation, parallel.transform.rotation)
         assert np.array_equal(single.transform.translation, parallel.transform.translation)
+
+    def test_independent_of_score_batch_size(self, outlier_session, monkeypatch):
+        cset = outlier_session.correspondences
+        cfg = RansacConfig(tau=6.0, iterations=60, seed=7, coarse_stride=2)
+        seen = set()
+        for size in (1, 2, 5):
+            monkeypatch.setattr(ransac, "_SCORE_ITERATIONS", size)
+            hyp = run_ransac(cset, cfg, workers=1)
+            pose = hyp.transform.rotation.tobytes() + hyp.transform.translation.tobytes()
+            seen.add((hyp.source, hyp.inlier_count, hyp.mean_inlier_residual, pose))
+        assert len(seen) == 1
+
+    def test_sample_with_an_uninvertible_pixel_is_degenerate(self):
+        # With k1 = -1 the distorted radius peaks at 2 / (3 sqrt 3), about 0.385,
+        # and Newton does not converge for the third pixel (normalized x = 0.5).
+        cam = basic_camera(distortion=DistortionCoeffs(k1=-1.0))
+        points = np.array([[0.0, 0.0, 2.0], [0.1, 0.0, 2.0], [0.0, 0.1, 2.0]])
+        pixels, _ = project_points(cam, RigidTransform.identity(), points)
+        pixels[2] = (1140.0, 360.0)
+        rows = [(0, j, 0, p3, p2, True) for j, (p3, p2) in enumerate(zip(points, pixels))]
+        cset = make_set([cam], rows, dims=(1, 3, 1))
+        bearings = ransac._entry_bearings(cset)
+        assert np.isfinite(bearings[:2]).all() and np.isnan(bearings[2]).all()
+        with pytest.raises(InsufficientConsensusError, match="no sample"):
+            run_ransac(cset, RansacConfig(iterations=5, coarse_stride=1))
 
     def test_deterministic_across_seeds_reruns(self, outlier_session):
         cset = outlier_session.correspondences

@@ -25,7 +25,7 @@ from mocapcal import refine
 from mocapcal.geometry import rotation_zyx_derivatives
 from mocapcal.synth import GAUSSIAN, SynthConfig, generate
 
-from helpers import basic_camera, make_set, random_rotation_matrix, unit_camera
+from helpers import basic_camera, camera_to_mocap, make_set, random_rotation_matrix, unit_camera
 
 
 def finite_difference_gradient(cset, pose, stride=1, h=1e-6):
@@ -355,9 +355,7 @@ def near_plane_set():
     near = np.column_stack(
         [rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1e-15, 1e-15, n)]
     )
-    to_mocap = transform.inverse().compose(
-        RigidTransform(camera.rotation.T, -camera.rotation.T @ camera.translation)
-    )
+    to_mocap = camera_to_mocap(camera, transform)
     candidates = to_mocap.apply(near)
     split = (two_step_depths(camera, transform, candidates) > 0.0) & ~(
         composed_depths(camera, transform, candidates) > 0.0

@@ -20,7 +20,7 @@ from mocapcal import (
 from mocapcal import ransac
 from mocapcal.synth import SynthConfig, generate
 
-from helpers import BASIC_K, basic_camera, make_set
+from helpers import BASIC_K, basic_camera, camera_to_mocap, make_set
 from test_refine import near_plane_set
 
 STRONG = DistortionCoeffs(k1=0.3, k2=0.1, p1=1e-3, p2=-1e-3, k3=0.004)
@@ -36,9 +36,7 @@ def stack_with_every_gate():
     _, camera, _, transform, near = near_plane_set()
     camera = basic_camera(camera.rotation, camera.translation, distortion=STRONG)
     rng = np.random.default_rng(7)
-    to_mocap = transform.inverse().compose(
-        RigidTransform(camera.rotation.T, -camera.rotation.T @ camera.translation)
-    )
+    to_mocap = camera_to_mocap(camera, transform)
     in_cam = np.column_stack(
         [rng.uniform(-1.0, 1.0, 40), rng.uniform(-0.6, 0.6, 40), rng.uniform(-3.0, 5.0, 40)]
     )
@@ -141,10 +139,24 @@ class TestNewtonUndistortion:
         alone = undistort_normalized(STRONG, many[417:418])
         assert np.array_equal(undistort_normalized(STRONG, many)[417], alone[0])
 
-    def test_singular_point_keeps_its_last_finite_iterate(self):
+    def test_singular_point_returns_nan(self):
         # With k1 = -2 and k2 = 1 the Jacobian at (1, 0) is exactly zero, so
-        # the first Newton step is 0/0 and the start is kept.
+        # the first Newton step is 0/0 and the start is kept; it distorts to
+        # (0, 0), not back to (1, 0).
         coeffs = DistortionCoeffs(k1=-2.0, k2=1.0)
-        start = np.array([[1.0, 0.0]])
-        out = undistort_normalized(coeffs, start)
-        np.testing.assert_array_equal(out, start)
+        out = undistort_normalized(coeffs, np.array([[1.0, 0.0]]))
+        assert out.shape == (1, 2) and np.isnan(out).all()
+
+    @pytest.mark.parametrize("k1", [-0.3, -0.5, -1.0])
+    def test_points_it_cannot_invert_come_back_nan(self, k1):
+        # Barrel distortion folds the frame's corners: r (1 + k1 r^2) peaks at
+        # radius 2 / (3 sqrt(-3 k1)), and Newton cannot reach some points past it.
+        coeffs = DistortionCoeffs(k1=k1)
+        distorted = frame_grid()
+        recovered = undistort_normalized(coeffs, distorted)
+        lost = np.isnan(recovered).any(axis=1)
+        assert lost.any() and np.isnan(recovered[lost]).all()
+        radius = np.hypot(distorted[:, 0], distorted[:, 1])
+        assert (radius[lost] > 2.0 / (3.0 * np.sqrt(-3.0 * k1))).all()
+        err = np.abs(distort_normalized(coeffs, recovered[~lost]) - distorted[~lost]).max()
+        assert err <= 1e-9

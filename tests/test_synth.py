@@ -157,9 +157,8 @@ class TestBehindCamera:
         assert invalid.any()
         assert not cset.valid[invalid].any()
         for k in np.flatnonzero(invalid):
-            entry = cset.entry(int(k))
-            cam = cset.cameras[entry.cam_index]
-            cam_pt = cam.rotation @ session.gt_extrinsic.apply(entry.point3d) + cam.translation
+            cam = cset.cameras[int(cset.cam_indices[k])]
+            cam_pt = cam.rotation @ session.gt_extrinsic.apply(cset.points3d[k]) + cam.translation
             assert cam_pt[2] <= 0.0
         for block in cset.camera_blocks(stride=1):
             _, depths = project_points(block.camera, session.gt_extrinsic, block.points3d)
