@@ -323,6 +323,11 @@ def undistort_normalized(
     result, distorted again, misses its input by more than
     ``UNDISTORT_RESIDUAL_TOL`` in either coordinate did not converge (its
     pixel lies where the model cannot be inverted) and comes back as NaN.
+    So does a root on a folded branch of the model, where the radial factor
+    ``1 + k1 r^2 + k2 r^4 + k3 r^6`` or the Jacobian determinant is not
+    positive: barrel distortion maps such a point across the optical axis
+    from its pixel, and its pixel lies past the peak radius, where no
+    unfolded root exists.
     """
     distorted = np.asarray(xy, dtype=np.float64)
     target = distorted.reshape(-1, 2)
@@ -349,9 +354,15 @@ def undistort_normalized(
             current[active[finite], 1] = ny[finite]
             moving = finite & ~((np.abs(dx) < tol) & (np.abs(dy) < tol))
             active = active[moving]
-        xd, yd = _distort(coeffs, current[:, 0], current[:, 1])
+        x, y = current[:, 0], current[:, 1]
+        xd, yd = _distort(coeffs, x, y)
         miss = np.maximum(np.abs(xd - target[:, 0]), np.abs(yd - target[:, 1]))
-        current[~(miss <= UNDISTORT_RESIDUAL_TOL)] = np.nan
+        r2 = x * x + y * y
+        radial = 1.0 + r2 * (coeffs.k1 + r2 * (coeffs.k2 + r2 * coeffs.k3))
+        jac = distortion_jacobian(coeffs, current)
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        unfolded = (radial > 0.0) & (det > 0.0)
+        current[~((miss <= UNDISTORT_RESIDUAL_TOL) & unfolded)] = np.nan
     return current.reshape(distorted.shape)
 
 

@@ -13,10 +13,14 @@ evaluation reduce what it returns.
 
 The work is done in bulk. Every valid pixel's bearing is computed once
 per run, and each iteration indexes the three it samples; a sample with a
-pixel the distortion model cannot invert is degenerate. The solutions
-of ``_SCORE_ITERATIONS`` consecutive iterations are scored together, in
-one pass of the stacked projection chain per camera block (the batching
-of preemptive RANSAC, Nister 2005, without its early termination).
+pixel the distortion model cannot invert is degenerate. Samples are drawn
+per iteration but solved per chunk: the samples of ``_SAMPLE_ITERATIONS``
+consecutive iterations go through one batch P3P call, and their MoCap
+poses come out of one stacked product per camera. The solutions of
+``_SCORE_ITERATIONS`` consecutive iterations are scored together, in one
+pass of the stacked projection chain per camera block (the batching of
+preemptive RANSAC, Nister 2005, without its early termination). Only the
+winner becomes a :class:`RigidTransform`.
 
 The search is embarrassingly parallel. Each iteration seeds its own RNG
 substream from ``(seed, iteration)``, so results are bit-identical no
@@ -37,13 +41,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateConfigurationError,
-    InsufficientConsensusError,
-    NoValidSampleError,
-)
+from .errors import InsufficientConsensusError, NoValidSampleError
 from .geometry import CameraModel, RigidTransform, pixel_bearings, project_stacked
-from .p3p import MinimalProblem, recover_mocap_pose, solve_p3p
+from .p3p import recover_mocap_poses, solve_p3p_batch
 
 MAX_WORKERS = 64
 
@@ -53,6 +53,9 @@ POOL_MIN_ENTRIES = 20_000
 
 # Consecutive iterations whose solutions are scored in one pass per block.
 _SCORE_ITERATIONS = 2
+
+# Consecutive iterations whose minimal samples are solved in one batch.
+_SAMPLE_ITERATIONS = 256
 
 
 def worker_count(requested: Optional[int] = None, n_scored: Optional[int] = None) -> int:
@@ -249,17 +252,16 @@ def _evaluate_block(
 
 
 def _score_blocks(
-    blocks: Sequence[CameraBlock], poses: Sequence[RigidTransform], tau: float
+    blocks: Sequence[CameraBlock], rotations: np.ndarray, translations: np.ndarray, tau: float
 ) -> tuple[list[int], list[float], list[np.ndarray]]:
     """Per pose, inlier count and mean inlier residual; per block, the inlier mask.
 
+    Scores the H poses ``rotations`` (H, 3, 3) and ``translations`` (H, 3).
     Each pose's residual sum is added block by block, in block order, so
     its mean does not depend on the other poses scored with it.
     """
-    rotations = np.stack([pose.rotation for pose in poses])
-    translations = np.stack([pose.translation for pose in poses])
-    totals = [0] * len(poses)
-    sums = [0.0] * len(poses)
+    totals = [0] * rotations.shape[0]
+    sums = [0.0] * rotations.shape[0]
     keep_per_block: list[np.ndarray] = []
     for block in blocks:
         norms, _, keep = _evaluate_block(block, rotations, translations, tau)
@@ -283,7 +285,9 @@ def count_inliers(
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     blocks = cset.camera_blocks(stride=stride, restrict_to=restrict_to)
-    _, means, keep_per_block = _score_blocks(blocks, [transform], tau)
+    _, means, keep_per_block = _score_blocks(
+        blocks, transform.rotation[None], transform.translation[None], tau
+    )
     id_chunks = [block.entry_ids[keep[0]] for block, keep in zip(blocks, keep_per_block)]
     ids = np.sort(np.concatenate(id_chunks)) if id_chunks else np.empty(0, dtype=np.int64)
     return InlierCount(ids=ids, mean_residual=means[0])
@@ -358,31 +362,42 @@ def _entry_bearings(cset: CorrespondenceSet) -> np.ndarray:
     return bearings
 
 
-def _sample_poses(
+def _sample_chunk(
     cset: CorrespondenceSet,
     groups: list[tuple[int, np.ndarray]],
     bearings: np.ndarray,
     seed: int,
-    k: int,
-) -> tuple[RigidTransform, ...]:
-    """MoCap poses solved from iteration ``k``'s minimal sample; none if it is degenerate.
+    start: int,
+    stop: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """MoCap poses solved from the minimal samples of iterations ``[start, stop)``.
 
-    A sample is degenerate when P3P rejects it, or when one of its pixels
-    has no bearing (NaN: the distortion model cannot be inverted there).
+    Each iteration draws its sample from its own RNG substream; then all of
+    them are solved in one :func:`mocapcal.p3p.solve_p3p_batch` call. A
+    sample is degenerate, and yields nothing, when P3P rejects it or when
+    one of its pixels has no bearing (NaN: the distortion model cannot be
+    inverted there). Returns each solution's iteration and solution index
+    and the stacked rotations (S, 3, 3) and translations (S, 3).
     """
-    rng = np.random.default_rng((seed, k))
-    _, group_ids = groups[int(rng.integers(len(groups)))]
-    picks = rng.choice(group_ids.size, size=3, replace=False)
-    entry_ids = group_ids[picks]
-    cam = cset.cameras[int(cset.cam_indices[entry_ids[0]])]
-    sample_bearings = bearings[entry_ids]
-    if not np.isfinite(sample_bearings).all():
-        return ()
-    try:
-        solutions = solve_p3p(MinimalProblem(cset.points3d[entry_ids], sample_bearings))
-    except DegenerateConfigurationError:
-        return ()
-    return tuple(recover_mocap_pose(cam_pose, cam) for cam_pose in solutions)
+    ids = np.empty((stop - start, 3), dtype=np.int64)
+    for row, k in enumerate(range(start, stop)):
+        rng = np.random.default_rng((seed, k))
+        _, group_ids = groups[int(rng.integers(len(groups)))]
+        ids[row] = group_ids[rng.choice(group_ids.size, size=3, replace=False)]
+    batch = solve_p3p_batch(cset.points3d[ids], bearings[ids])
+    counts = batch.counts
+    iterations = np.repeat(np.arange(start, stop), counts)
+    solution = np.arange(iterations.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cams = np.repeat(cset.cam_indices[ids[:, 0]], counts)
+    rotations = np.empty_like(batch.rotations)
+    translations = np.empty_like(batch.translations)
+    for i, camera in enumerate(cset.cameras):
+        sel = cams == i
+        if sel.any():
+            rotations[sel], translations[sel] = recover_mocap_poses(
+                batch.rotations[sel], batch.translations[sel], camera
+            )
+    return iterations, solution, rotations, translations
 
 
 def run_ransac(
@@ -394,9 +409,12 @@ def run_ransac(
 
     Every iteration draws a (camera, frame) pair uniformly among those
     with at least three valid joints, then three distinct joints within
-    it, and indexes their bearings, computed once per run. Degenerate
-    samples and rootless quartics consume their iteration. The solutions
-    of ``_SCORE_ITERATIONS`` consecutive iterations are scored in one pass.
+    it, from its own RNG substream, and indexes their bearings, computed
+    once per run. The samples of ``_SAMPLE_ITERATIONS`` consecutive
+    iterations are solved in one batch; degenerate samples and rootless
+    quartics consume their iteration. The solutions of
+    ``_SCORE_ITERATIONS`` consecutive iterations are scored in one pass.
+    Neither chunk size changes the result.
     Ties are broken by mean inlier residual, then by iteration order, so
     the result is independent of thread count. ``workers`` resolves
     through :func:`worker_count` with the number of scored entries.
@@ -423,19 +441,19 @@ def run_ransac(
 
     def reduce_chunk(start: int, stop: int):
         local = None
-        for first in range(start, stop, _SCORE_ITERATIONS):
-            sources, poses = [], []
-            for k in range(first, min(first + _SCORE_ITERATIONS, stop)):
-                for l, pose in enumerate(_sample_poses(cset, groups, bearings, cfg.seed, k)):
-                    sources.append((k, l))
-                    poses.append(pose)
-            if not poses:
-                continue
-            totals, means, _ = _score_blocks(blocks, poses, cfg.tau)
-            for (k, l), total, mean, pose in zip(sources, totals, means, poses):
-                key = _candidate_key(total, mean, k, l)
-                if local is None or key < local[0]:
-                    local = (key, pose)
+        for first in range(start, stop, _SAMPLE_ITERATIONS):
+            last = min(first + _SAMPLE_ITERATIONS, stop)
+            iters, sols, rots, transs = _sample_chunk(cset, groups, bearings, cfg.seed, first, last)
+            edges = np.searchsorted(iters, range(first, last, _SCORE_ITERATIONS)).tolist()
+            for lo, hi in zip(edges, edges[1:] + [iters.size]):
+                if lo == hi:
+                    continue
+                totals, means, _ = _score_blocks(blocks, rots[lo:hi], transs[lo:hi], cfg.tau)
+                sources = zip(iters[lo:hi].tolist(), sols[lo:hi].tolist())
+                for j, (k, l), total, mean in zip(range(lo, hi), sources, totals, means):
+                    key = _candidate_key(total, mean, k, l)
+                    if local is None or key < local[0]:
+                        local = (key, rots[j], transs[j])
         return local
 
     if n_workers == 1:
@@ -454,7 +472,7 @@ def run_ransac(
         raise InsufficientConsensusError(
             "no sample produced a scorable pose hypothesis"
         )
-    (neg_count, mean, k, l), pose = best
+    (neg_count, mean, k, l), rotation, translation = best
     count = -neg_count
     ratio = count / n_scored
     if ratio < cfg.min_inlier_ratio:
@@ -463,5 +481,6 @@ def run_ransac(
             f"below the required {cfg.min_inlier_ratio:.3f}"
         )
     return Hypothesis(
-        pose, inlier_count=count, inlier_ratio=ratio, mean_inlier_residual=mean, source=(k, l)
+        RigidTransform(rotation, translation),
+        inlier_count=count, inlier_ratio=ratio, mean_inlier_residual=mean, source=(k, l)
     )

@@ -57,14 +57,43 @@ def make_near_double_problem(rng, rel_gap=1e-3):
             return problem
 
 
+def fallback_problem():
+    """A problem whose back-substitution denominator vanishes at a root.
+
+    s3/s1 = cg/ca zeroes the linear back-substitution's denominator, which
+    makes that root of the quartic a double root; u then comes from the
+    quadratic law-of-cosines constraint.
+    """
+    bearings = [[-0.3, 0.1, 1.0], [0.05, -0.25, 1.0], [0.2, 0.3, 1.0]]
+    unit = np.array(bearings) / np.linalg.norm(bearings, axis=1, keepdims=True)
+    ratio = float(np.dot(unit[0], unit[1]) / np.dot(unit[1], unit[2]))
+    rot = rotation_zyx(0.3, -0.4, 0.5)
+    trans = np.array([0.2, -0.1, 4.0])
+    return problem_from_ranges(bearings, [4.0, 3.0, 4.0 * ratio], rot, trans), rot, trans
+
+
+def biquadratic_problem():
+    """A problem whose quartic has no odd terms and a negative c0/c4.
+
+    Bearing 1 orthogonal to bearings 2 and 3 zeroes the odd coefficients,
+    so the depressed quartic has no linear term; with c0/c4 < 0 the
+    resolvent cubic's only real root is 0 and cannot split the quartic.
+    """
+    bearings = [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -0.3, 1.0]]
+    rot = rotation_zyx(0.3, -0.4, 0.5)
+    trans = np.array([0.2, -0.1, 4.0])
+    return problem_from_ranges(bearings, [5.0, 5.5, 2.4], rot, trans), rot, trans
+
+
 def quartic_of(problem):
     """Grunert quartic coefficients and (ca, cb, cg) exactly as the solver forms them."""
     p1, p2, p3 = problem.world_points.tolist()
     f1, f2, f3 = problem.bearings.tolist()
     ca, cb, cg = (sum(a * b for a, b in zip(x, y)) for x, y in ((f2, f3), (f1, f3), (f1, f2)))
-    coeffs, _, _ = p3p._grunert_quartic(
-        math.dist(p2, p3) ** 2, math.dist(p1, p3) ** 2, math.dist(p1, p2) ** 2, ca, cb, cg
-    )
+    b2 = math.dist(p1, p3) ** 2
+    A = math.dist(p2, p3) ** 2 / b2
+    B = math.dist(p1, p2) ** 2 / b2
+    coeffs = p3p._grunert_quartic(A, B, ca, cb, cg, (A - B - 1.0) ** 2, (A - B + 1.0) ** 2)
     return coeffs, ca, cb, cg
 
 
@@ -127,6 +156,21 @@ class TestMinimalProblem:
         rebuilt = MinimalProblem.from_observations(cam, problem.world_points, pixels)
         np.testing.assert_allclose(rebuilt.bearings, problem.bearings, atol=1e-9)
 
+    def test_from_observations_with_an_uninvertible_pixel_is_degenerate(self):
+        # With k1 = -1 the distorted radius peaks at about 0.385, so the third
+        # pixel (normalized x = 0.5) has no bearing.
+        cam = basic_camera(distortion=DistortionCoeffs(k1=-1.0))
+        pts = np.array([[0.0, 0.0, 2.0], [0.1, 0.0, 2.0], [0.0, 0.1, 2.0]])
+        pixels = np.array([[640.0, 360.0], [690.0, 360.0], [1140.0, 360.0]])
+        with pytest.raises(DegenerateConfigurationError, match="pixel 2"):
+            MinimalProblem.from_observations(cam, pts, pixels)
+        pixels[2] = (np.nan, 360.0)
+        with pytest.raises(ValueError, match="finite") as info:
+            MinimalProblem.from_observations(cam, pts, pixels)
+        assert not isinstance(info.value, DegenerateConfigurationError)
+        with pytest.raises(ValueError, match="finite"):
+            MinimalProblem(world_points=pts, bearings=np.full((3, 3), np.nan))
+
 
 class TestSolveP3P:
     def test_known_pose_is_recovered(self, rng):
@@ -178,15 +222,7 @@ class TestSolveP3P:
         assert sum(closed_form) > len(problems)
 
     def test_vanishing_back_substitution_takes_quadratic_fallback(self):
-        # s3/s1 = cg/ca zeroes the linear back-substitution's denominator, which
-        # makes that root of the quartic a double root; u then comes from the
-        # quadratic law-of-cosines constraint.
-        bearings = [[-0.3, 0.1, 1.0], [0.05, -0.25, 1.0], [0.2, 0.3, 1.0]]
-        unit = np.array(bearings) / np.linalg.norm(bearings, axis=1, keepdims=True)
-        ratio = float(np.dot(unit[0], unit[1]) / np.dot(unit[1], unit[2]))
-        rot = rotation_zyx(0.3, -0.4, 0.5)
-        trans = np.array([0.2, -0.1, 4.0])
-        problem = problem_from_ranges(bearings, [4.0, 3.0, 4.0 * ratio], rot, trans)
+        problem, rot, trans = fallback_problem()
         coeffs, ca, _, cg = quartic_of(problem)
         assert any(abs(2.0 * (cg - v * ca)) <= 1e-12 for v in p3p._real_roots(coeffs))
         assert contains_pose(solve_p3p(problem), rot, trans, tol=1e-8)
@@ -199,13 +235,7 @@ class TestSolveP3P:
             assert min(abs(v - expected) for v in roots) < 1e-12
 
     def test_biquadratic_quartic(self):
-        # Bearing 1 orthogonal to bearings 2 and 3 zeroes the odd coefficients,
-        # so the depressed quartic has no linear term; with c0/c4 < 0 the
-        # resolvent cubic's only real root is 0 and cannot split the quartic.
-        bearings = [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -0.3, 1.0]]
-        rot = rotation_zyx(0.3, -0.4, 0.5)
-        trans = np.array([0.2, -0.1, 4.0])
-        problem = problem_from_ranges(bearings, [5.0, 5.5, 2.4], rot, trans)
+        problem, rot, trans = biquadratic_problem()
         coeffs, _, _, _ = quartic_of(problem)
         assert coeffs[1] == 0.0 and coeffs[3] == 0.0
         assert coeffs[4] / coeffs[0] < 0.0
@@ -224,7 +254,103 @@ class TestSolveP3P:
                     assert apart
 
 
+def solve_batch(problems):
+    return p3p.solve_p3p_batch(
+        np.stack([p.world_points for p in problems]), np.stack([p.bearings for p in problems])
+    )
+
+
+def assert_batch_matches_scalar(problems):
+    """``solve_p3p_batch`` gives each problem's ``solve_p3p`` poses, byte for byte."""
+    batch = solve_batch(problems)
+    assert not batch.degenerate.any()
+    first = 0
+    for i, problem in enumerate(problems):
+        want = solve_p3p(problem)
+        assert batch.counts[i] == len(want), i
+        for j, sol in enumerate(want):
+            assert batch.rotations[first + j].tobytes() == sol.rotation.tobytes(), i
+            assert batch.translations[first + j].tobytes() == sol.translation.tobytes(), i
+        first += len(want)
+    assert first == batch.rotations.shape[0] == batch.translations.shape[0]
+    return batch
+
+
+class TestSolveP3PBatch:
+    def test_matches_scalar_on_criterion_1_problems(self):
+        from test_acceptance import random_minimal_problem
+
+        rng = np.random.default_rng(0)
+        problems = [random_minimal_problem(rng)[0] for _ in range(10_000)]
+        batch = assert_batch_matches_scalar(problems)
+        assert (batch.counts == 4).any() and batch.counts.sum() > len(problems)
+        reversed_ = [abs(c[0]) > abs(c[4]) for c, *_ in map(quartic_of, problems[:200])]
+        assert any(reversed_) and not all(reversed_)
+
+    def test_matches_scalar_on_clustered_roots(self, rng, monkeypatch):
+        # Exact double roots: the closed form returns a split pair, and the
+        # poses lifted from it are merged by the deduplication.
+        problems = [make_near_double_problem(rng, rel_gap) for rel_gap in (1e-3, 0.0) * 300]
+        dropped = []
+        distinct = p3p._distinct
+
+        def spy(rotations, translations):
+            kept = distinct(rotations, translations)
+            dropped.append(len(rotations) - len(kept))
+            return kept
+
+        monkeypatch.setattr(p3p, "_distinct", spy)
+        assert_batch_matches_scalar(problems)
+        assert any(dropped)
+
+    @pytest.mark.parametrize("build", [fallback_problem, biquadratic_problem])
+    def test_matches_scalar_on_special_quartics(self, build):
+        problem, _, _ = build()
+        batch = assert_batch_matches_scalar([problem, problem])
+        assert batch.counts[0] == batch.counts[1] > 0
+
+    def test_degenerate_samples(self, rng):
+        good, _, _ = make_problem(rng)
+        collinear = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        coincident = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        lost = good.bearings.copy()
+        lost[1] = np.nan
+        points = np.stack([collinear, good.world_points, coincident, good.world_points])
+        bearings = np.stack([good.bearings, good.bearings, good.bearings, lost])
+        batch = p3p.solve_p3p_batch(points, bearings)
+        assert batch.degenerate.tolist() == [True, False, True, True]
+        assert batch.counts[1] == len(solve_p3p(good)) and batch.counts.sum() == batch.counts[1]
+
+    def test_bearing_without_positive_depth_has_no_solution(self, rng):
+        problem, _, _ = make_problem(rng)
+        for z in (0.0, -0.6):
+            bearings = problem.bearings.copy()
+            bearings[2] = (np.sqrt(1.0 - z * z), 0.0, z)
+            behind = MinimalProblem(problem.world_points, bearings)
+            assert solve_p3p(behind) == ()
+            batch = assert_batch_matches_scalar([behind, problem])
+            assert batch.counts[0] == 0 and batch.counts[1] > 0
+
+    def test_distinct_drops_near_duplicates_and_keeps_four(self):
+        rots = [[float(i)] * 9 for i in range(6)]
+        trans = [[0.0, 0.0, float(i)] for i in range(6)]
+        rots.insert(1, [1e-7] * 9)
+        trans.insert(1, [0.0, 0.0, 1e-7])
+        assert p3p._distinct(rots, trans) == [0, 2, 3, 4]
+        assert p3p._distinct(rots[:3], trans[:3]) == [0, 2]
+
+
 class TestRecoverMocapPose:
+    def test_stacked_recovery_is_byte_identical(self, rng):
+        cam = basic_camera(rotation=random_rotation_matrix(rng), translation=rng.uniform(-1, 1, 3))
+        rots = np.stack([random_rotation_matrix(rng) for _ in range(500)])
+        trans = rng.uniform(-5.0, 5.0, (500, 3))
+        got_rot, got_trans = p3p.recover_mocap_poses(rots, trans, cam)
+        for r, t, gr, gt in zip(rots, trans, got_rot, got_trans):
+            want = recover_mocap_pose(RigidTransform(r, t), cam)
+            assert gr.tobytes() == want.rotation.tobytes()
+            assert gt.tobytes() == want.translation.tobytes()
+
     def test_identity_camera_returns_input(self, rng):
         cam = basic_camera()
         pose = RigidTransform(random_rotation_matrix(rng), rng.uniform(-1, 1, 3))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import mocapcal.pipeline
 from mocapcal import (
     CorrespondenceSet,
+    DistortionCoeffs,
     EmptyActiveSetError,
     NoValidSampleError,
     RansacConfig,
@@ -18,6 +20,8 @@ from mocapcal import (
     rotation_geodesic_deg,
     run_ransac,
 )
+from mocapcal import ransac
+from mocapcal.p3p import solve_p3p_batch
 from mocapcal.session_io import report_to_dict
 from mocapcal.synth import SynthConfig, generate
 
@@ -301,3 +305,38 @@ class TestEvaluationAgainstScalarReference:
         assert report.mpjpe_init == pytest.approx(
             sum(at_init.values()) / len(at_init), rel=1e-12
         )
+
+
+class TestQuietLibraryCalls:
+    def test_no_output_and_no_runtime_warning(self, capsys):
+        # A caller may own stdout (the benchmark reads its last line as the
+        # result), and the batch solver's masked lanes carry NaN and inf.
+        session = generate(
+            SynthConfig(
+                n_cameras=2,
+                n_joints=17,
+                n_frames=60,
+                noise_sigma=2.0,
+                outlier_fraction=0.3,
+                distortion=DistortionCoeffs(k1=-0.5),
+                seed=2,
+            )
+        )
+        cset = session.correspondences
+        cfg = RansacConfig(tau=6.0, iterations=100, seed=2, coarse_stride=2)
+        all_bearings = ransac._entry_bearings(cset)
+        ids = np.flatnonzero(np.isfinite(all_bearings).all(axis=1))[:15].reshape(5, 3)
+        points = cset.points3d[ids]
+        points[1, 2] = points[1, 1]
+        bearings = all_bearings[ids]
+        bearings[2, 0] = np.nan
+        bearings[3, 0] = (1.0, 0.0, 0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            calibrate(cset, cfg, RefineConfig(steps=50, fine_stride=1))
+            for workers in (1, 2):
+                run_ransac(cset, cfg, workers=workers)
+            batch = solve_p3p_batch(points, bearings)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().out == ""
+        assert batch.degenerate.tolist() == [False, True, True, False, False]

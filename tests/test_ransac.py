@@ -5,17 +5,21 @@ import pytest
 
 from mocapcal import (
     CorrespondenceSet,
+    DegenerateConfigurationError,
     DistortionCoeffs,
     EmptyActiveSetError,
     InsufficientConsensusError,
+    MinimalProblem,
     NoValidSampleError,
     RansacConfig,
     RigidTransform,
     compute_mpjpe,
     count_inliers,
     project_points,
+    recover_mocap_pose,
     rotation_geodesic_deg,
     run_ransac,
+    solve_p3p,
     worker_count,
 )
 from mocapcal import ransac
@@ -286,6 +290,17 @@ class TestRunRansac:
             seen.add((hyp.source, hyp.inlier_count, hyp.mean_inlier_residual, pose))
         assert len(seen) == 1
 
+    def test_independent_of_sample_chunk_size(self, outlier_session, monkeypatch):
+        cset = outlier_session.correspondences
+        cfg = RansacConfig(tau=6.0, iterations=60, seed=7, coarse_stride=2)
+        seen = set()
+        for size in (1, 7, ransac._SAMPLE_ITERATIONS):
+            monkeypatch.setattr(ransac, "_SAMPLE_ITERATIONS", size)
+            hyp = run_ransac(cset, cfg, workers=1)
+            pose = hyp.transform.rotation.tobytes() + hyp.transform.translation.tobytes()
+            seen.add((hyp.source, hyp.inlier_count, hyp.mean_inlier_residual, pose))
+        assert len(seen) == 1
+
     def test_sample_with_an_uninvertible_pixel_is_degenerate(self):
         # With k1 = -1 the distorted radius peaks at 2 / (3 sqrt 3), about 0.385,
         # and Newton does not converge for the third pixel (normalized x = 0.5).
@@ -321,6 +336,61 @@ class TestRunRansac:
         recount = count_inliers(cset, hyp.transform, tau=cfg.tau, stride=cfg.coarse_stride)
         assert len(recount.ids) == hyp.inlier_count
         assert recount.mean_residual == hyp.mean_inlier_residual
+
+
+def per_iteration_poses(cset, groups, bearings, seed, k):
+    """Iteration ``k``'s MoCap poses, drawn and solved one sample at a time."""
+    rng = np.random.default_rng((seed, k))
+    _, group_ids = groups[int(rng.integers(len(groups)))]
+    entry_ids = group_ids[rng.choice(group_ids.size, size=3, replace=False)]
+    cam = cset.cameras[int(cset.cam_indices[entry_ids[0]])]
+    if not np.isfinite(bearings[entry_ids]).all():
+        return ()
+    try:
+        solutions = solve_p3p(MinimalProblem(cset.points3d[entry_ids], bearings[entry_ids]))
+    except DegenerateConfigurationError:
+        return ()
+    return tuple(recover_mocap_pose(pose, cam) for pose in solutions)
+
+
+# The synthetic settings of the benchmark's workloads (fewer frames), and a
+# barrel-distorted session whose outliers in the frame's corners have no bearing.
+SAMPLE_SESSIONS = {
+    "noisy_sweep": dict(noise_sigma=2.0, outlier_fraction=0.2, n_frames=300),
+    "long_capture": dict(noise_sigma=2.0, outlier_fraction=0.2, n_frames=400),
+    "distorted_mono": dict(
+        n_cameras=1,
+        n_frames=300,
+        noise_sigma=2.0,
+        outlier_fraction=0.5,
+        invalid_fraction=0.2,
+        distortion=DistortionCoeffs(k1=0.3, k2=0.1),
+    ),
+    "barrel": dict(
+        n_cameras=1, n_frames=300, outlier_fraction=0.5, distortion=DistortionCoeffs(k1=-0.5)
+    ),
+}
+
+
+class TestSampleChunk:
+    @pytest.mark.parametrize("name", list(SAMPLE_SESSIONS))
+    def test_equals_per_iteration_solves(self, name):
+        cset = generate(SynthConfig(n_joints=17, seed=4, **SAMPLE_SESSIONS[name])).correspondences
+        groups = ransac._sample_groups(cset)
+        bearings = ransac._entry_bearings(cset)
+        iters, sols, rots, trans = ransac._sample_chunk(cset, groups, bearings, 9, 100, 600)
+        want = []
+        for k in range(100, 600):
+            for l, pose in enumerate(per_iteration_poses(cset, groups, bearings, 9, k)):
+                want.append(((k, l), pose.rotation.tobytes(), pose.translation.tobytes()))
+        got = [
+            ((k, l), r.tobytes(), t.tobytes())
+            for k, l, r, t in zip(iters.tolist(), sols.tolist(), rots, trans)
+        ]
+        assert got == want
+        assert len(want) > 500
+        if name == "barrel":
+            assert np.isnan(bearings[cset.valid]).any()
 
 
 class TestWorkerCount:

@@ -157,6 +157,15 @@ class TestNewtonUndistortion:
         lost = np.isnan(recovered).any(axis=1)
         assert lost.any() and np.isnan(recovered[lost]).all()
         radius = np.hypot(distorted[:, 0], distorted[:, 1])
-        assert (radius[lost] > 2.0 / (3.0 * np.sqrt(-3.0 * k1))).all()
+        peak = 2.0 / (3.0 * np.sqrt(-3.0 * k1))
+        assert (radius[lost] > peak).all()
         err = np.abs(distort_normalized(coeffs, recovered[~lost]) - distorted[~lost]).max()
         assert err <= 1e-9
+        # A root on the folded branch distorts back onto its pixel too, but it
+        # lies across the optical axis from it; none may come back.
+        found = recovered[~lost]
+        assert (1.0 + k1 * (found * found).sum(axis=1) > 0.0).all()
+        # This point lies past the peak radius from k1 = -0.5 on; at -0.5 the
+        # folded root (1.422, 0.881) distorts back onto it.
+        corner = np.array([[-0.568, -0.352]])
+        assert np.isnan(undistort_normalized(coeffs, corner)).all() == (np.hypot(*corner[0]) > peak)
