@@ -17,10 +17,14 @@ pixel the distortion model cannot invert is degenerate. Samples are drawn
 per iteration but solved per chunk: the samples of ``_SAMPLE_ITERATIONS``
 consecutive iterations go through one batch P3P call, and their MoCap
 poses come out of one stacked product per camera. The solutions of
-``_SCORE_ITERATIONS`` consecutive iterations are scored together, in one
-pass of the stacked projection chain per camera block (the batching of
-preemptive RANSAC, Nister 2005, without its early termination). Only the
-winner becomes a :class:`RigidTransform`.
+``_SCORE_ITERATIONS`` consecutive iterations are scored together on the
+stacked projection chain (the batching of preemptive RANSAC, Nister
+2005), each camera block in segments. After each segment a hypothesis is
+dropped once its inliers so far plus the entries still unscored fall
+below the best count so far: the bail-out test of Capel ("An effective
+bail-out test for RANSAC consensus scoring", BMVC 2005) in its exact
+form, without the statistics, so the winner is the one full scoring
+would pick. Only the winner becomes a :class:`RigidTransform`.
 
 The search is embarrassingly parallel. Each iteration seeds its own RNG
 substream from ``(seed, iteration)``, so results are bit-identical no
@@ -52,7 +56,22 @@ MAX_WORKERS = 64
 POOL_MIN_ENTRIES = 20_000
 
 # Consecutive iterations whose solutions are scored in one pass per block.
-_SCORE_ITERATIONS = 2
+# Larger passes pay less per-call overhead but grow the (H, N) temporaries;
+# 8 measured fastest on the benchmark's workloads.
+_SCORE_ITERATIONS = 8
+
+# Entries the first scoring segment of a block covers at least; each later
+# one covers at least twice the one before. Shorter segments drop hopeless
+# poses sooner but pay more per-call overhead, and a pose that cannot be
+# dropped, such as a perfect one on noiseless data, is rescanned in a
+# logarithmic number of calls. 512 measured fastest on the benchmark's
+# workloads.
+_MIN_SEGMENT = 512
+
+# (pose, entry) pairs one scoring segment covers at most. A larger stacked
+# (3H, 3) @ (3, N) product crosses OpenBLAS's threading threshold: on
+# 2 vCPUs that cost CPU time and, at some sizes, 8-16 ms a call.
+_MAX_SEGMENT_PAIRS = 1 << 16
 
 # Consecutive iterations whose minimal samples are solved in one batch.
 _SAMPLE_ITERATIONS = 256
@@ -252,26 +271,75 @@ def _evaluate_block(
 
 
 def _score_blocks(
-    blocks: Sequence[CameraBlock], rotations: np.ndarray, translations: np.ndarray, tau: float
-) -> tuple[list[int], list[float], list[np.ndarray]]:
-    """Per pose, inlier count and mean inlier residual; per block, the inlier mask.
+    blocks: Sequence[CameraBlock],
+    rotations: np.ndarray,
+    translations: np.ndarray,
+    tau: float,
+    bound: int = 0,
+) -> tuple[list[int], list[Optional[float]], list[list[tuple[np.ndarray, np.ndarray]]]]:
+    """Inlier counts of H poses, and the mean inlier residual of those reaching ``bound``.
 
-    Scores the H poses ``rotations`` (H, 3, 3) and ``translations`` (H, 3).
-    Each pose's residual sum is added block by block, in block order, so
-    its mean does not depend on the other poses scored with it.
+    Scores the H poses ``rotations`` (H, 3, 3) and ``translations`` (H, 3)
+    block by block, and each block in segments in storage order. After
+    each segment it drops every pose whose inliers so far plus the entries
+    still unscanned fall below ``bound``: that pose cannot reach ``bound``
+    (Capel's bail-out test, BMVC 2005, in its exact form, without the
+    statistics). A pose that could still tie keeps its place. A segment
+    runs up to the first entry at which a pose could be dropped, and the
+    k-th segment of a block over at least ``_MIN_SEGMENT * 2**k`` entries,
+    so with ``bound`` 0 each block is one segment, unless it holds more
+    than ``_MAX_SEGMENT_PAIRS`` pairs of a pose and an entry.
+
+    Returns per pose its inlier count (a dropped pose's count so far) and
+    its mean inlier residual, or ``None`` for a pose that was dropped or
+    ends below ``bound``; and per block its segments, each as the indices
+    of the poses it scanned and their inlier mask. A mean adds each
+    block's kept residuals, in storage order, then the block sums in block
+    order, so it depends neither on the other poses scored with it nor on
+    the segments.
     """
-    totals = [0] * rotations.shape[0]
-    sums = [0.0] * rotations.shape[0]
-    keep_per_block: list[np.ndarray] = []
+    counts = np.zeros(rotations.shape[0], dtype=np.int64)
+    live = np.arange(rotations.shape[0])
+    remaining = sum(block.entry_ids.size for block in blocks)
+    scans = []
     for block in blocks:
-        norms, _, keep = _evaluate_block(block, rotations, translations, tau)
-        keep_per_block.append(keep)
-        for h, count in enumerate(np.count_nonzero(keep, axis=1).tolist()):
-            if count:
-                totals[h] += count
-                sums[h] += float(norms[h][keep[h]].sum())
-    means = [res_sum / total if total else 0.0 for res_sum, total in zip(sums, totals)]
-    return totals, means, keep_per_block
+        n = block.entry_ids.size
+        segments = []
+        lo = 0
+        while lo < n and live.size:
+            reach = int(counts[live].min()) + remaining - bound + 1
+            width = max(reach, _MIN_SEGMENT << len(segments))
+            hi = min(n, lo + width, lo + _MAX_SEGMENT_PAIRS // live.size)
+            # A one-entry segment would project through a matrix-vector
+            # product, whose last bits differ from the matrix product's.
+            if hi == n - 1:
+                hi = n
+            segment = block._replace(
+                entry_ids=block.entry_ids[lo:hi],
+                points3d=block.points3d[lo:hi],
+                points2d=block.points2d[lo:hi],
+            )
+            norms, _, keep = _evaluate_block(segment, rotations[live], translations[live], tau)
+            counts[live] += np.count_nonzero(keep, axis=1)
+            remaining -= hi - lo
+            segments.append((live, norms, keep))
+            live = live[counts[live] + remaining >= bound]
+            lo = hi
+        scans.append(segments)
+
+    totals = counts.tolist()
+    means: list[Optional[float]] = [None] * len(totals)
+    for h in live.tolist():
+        res_sum = 0.0
+        for segments in scans:
+            kept = []
+            for rows, norms, keep in segments:
+                row = np.searchsorted(rows, h)
+                kept.append(norms[row][keep[row]])
+            res_sum += float(np.concatenate(kept).sum())
+        means[h] = res_sum / totals[h] if totals[h] else 0.0
+    masks = [[(rows, keep) for rows, _, keep in segments] for segments in scans]
+    return totals, means, masks
 
 
 def count_inliers(
@@ -285,10 +353,13 @@ def count_inliers(
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     blocks = cset.camera_blocks(stride=stride, restrict_to=restrict_to)
-    _, means, keep_per_block = _score_blocks(
+    _, means, masks = _score_blocks(
         blocks, transform.rotation[None], transform.translation[None], tau
     )
-    id_chunks = [block.entry_ids[keep[0]] for block, keep in zip(blocks, keep_per_block)]
+    id_chunks = [
+        block.entry_ids[np.concatenate([keep[0] for _, keep in segments])]
+        for block, segments in zip(blocks, masks)
+    ]
     ids = np.sort(np.concatenate(id_chunks)) if id_chunks else np.empty(0, dtype=np.int64)
     return InlierCount(ids=ids, mean_residual=means[0])
 
@@ -413,8 +484,11 @@ def run_ransac(
     once per run. The samples of ``_SAMPLE_ITERATIONS`` consecutive
     iterations are solved in one batch; degenerate samples and rootless
     quartics consume their iteration. The solutions of
-    ``_SCORE_ITERATIONS`` consecutive iterations are scored in one pass.
-    Neither chunk size changes the result.
+    ``_SCORE_ITERATIONS`` consecutive iterations are scored in one pass,
+    bounded by the calling thread's best count so far: a solution is
+    dropped, and gets no mean, once it can no longer reach that count, so
+    ties still go to the mean. Neither chunk size nor the bound changes
+    the result.
     Ties are broken by mean inlier residual, then by iteration order, so
     the result is independent of thread count. ``workers`` resolves
     through :func:`worker_count` with the number of scored entries.
@@ -448,9 +522,14 @@ def run_ransac(
             for lo, hi in zip(edges, edges[1:] + [iters.size]):
                 if lo == hi:
                     continue
-                totals, means, _ = _score_blocks(blocks, rots[lo:hi], transs[lo:hi], cfg.tau)
+                bound = 0 if local is None else -local[0][0]
+                totals, means, _ = _score_blocks(
+                    blocks, rots[lo:hi], transs[lo:hi], cfg.tau, bound
+                )
                 sources = zip(iters[lo:hi].tolist(), sols[lo:hi].tolist())
                 for j, (k, l), total, mean in zip(range(lo, hi), sources, totals, means):
+                    if mean is None:
+                        continue
                     key = _candidate_key(total, mean, k, l)
                     if local is None or key < local[0]:
                         local = (key, rots[j], transs[j])

@@ -166,25 +166,34 @@ def _loss_and_gradient_on_blocks(
             if cam.distortion is None
             else distortion_jacobian(cam.distortion, np.stack([xn, yn], axis=-1))
         )
-        # A C-ordered (N, 2) residual, whatever the layout of obs, so the
-        # loss sum keeps its summation order.
-        res = np.stack([u - obs[:, 0], v - obs[:, 1]], axis=-1)
+        du = u - obs[:, 0]
+        dv = v - obs[:, 1]
+        # The loss sums a C-ordered (N, 2) stack of squares, whatever the
+        # layout of obs, so its summation order does not change.
+        res = np.stack([du, dv], axis=-1)
         loss_sum += float((res * res).sum())
         active += int(z.size)
 
         # Pull the residual back through intrinsics (A^T r), distortion
         # (D^T), and perspective division (N^T) to camera-frame vectors.
-        pr0 = cam.fx * res[:, 0]
-        pr1 = cam.skew * res[:, 0] + cam.fy * res[:, 1]
+        pr0 = cam.fx * du
+        pr1 = cam.skew * du + cam.fy * dv
         if jac is not None:
             pr0, pr1 = (
                 jac[:, 0, 0] * pr0 + jac[:, 1, 0] * pr1,
                 jac[:, 0, 1] * pr0 + jac[:, 1, 1] * pr1,
             )
-        cr = np.stack([pr0 / z, pr1 / z, -(xn * pr0 + yn * pr1) / z], axis=-1)
-        grad[3:] += cam.rotation.T @ cr.sum(axis=0)
+        cols = (pr0 / z, pr1 / z, -(xn * pr0 + yn * pr1) / z)
+        # Each column is summed entry by entry in order: the additions
+        # cr.sum(axis=0) makes as it walks the C-ordered (N, 3) stack row by
+        # row, without its per-row overhead. A pairwise sum would change the bits.
+        col_sums = np.array([np.add.accumulate(col)[-1] for col in cols])
+        grad[3:] += cam.rotation.T @ col_sums
+        cr = np.stack(cols, axis=-1)
         # Each angle gradient is <R_c @ dR, sum_m cr_m p_m^T>; the moment
         # matrix makes that three 3x3 contractions instead of big matmuls.
+        # Its (3, N) operand stays the F-ordered transpose: a C-ordered copy
+        # changes the product's bits.
         moment = cr.T @ pts3
         for axis, drot in enumerate((drot_a, drot_b, drot_g)):
             grad[axis] += float(((cam.rotation @ drot) * moment).sum())

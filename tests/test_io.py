@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from mocapcal import (
     RigidTransform,
     calibrate,
 )
+from mocapcal import session_io
 from mocapcal.session_io import (
     load_report,
     load_session,
@@ -90,6 +92,45 @@ class TestSessionRoundTrip:
         np.testing.assert_array_equal(cset.points2d, orig.points2d[keep])
         np.testing.assert_array_equal(cset.points3d, orig.points3d[keep])
         assert cset.valid.all()
+
+    @pytest.mark.parametrize("with_gt", [True, False])
+    def test_file_is_what_json_dump_writes(self, tmp_path, with_gt):
+        from mocapcal import DistortionCoeffs
+
+        cfg = SynthConfig(
+            n_cameras=2,
+            n_joints=7,
+            n_frames=12,
+            noise_sigma=1.0,
+            invalid_fraction=0.3,
+            distortion=DistortionCoeffs(k1=0.3, k2=0.1),
+            seed=5,
+        )
+        session = generate(cfg)
+        path = tmp_path / "session.json"
+        save_session(str(path), session.correspondences, session.gt_extrinsic if with_gt else None)
+        saved = path.read_bytes()
+        doc = json.loads(saved)
+        assert (doc["gt_extrinsic"] is not None) == with_gt
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        assert saved == reference.read_bytes()
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 5])
+    def test_write_json_matches_json_dump(self, depth):
+        doc = {
+            "a": [[1.5, -0.0, 1e-300, 2], [], [[3, [4.25]], {}]],
+            "b\u00e9\"": {"c": None, "d": [True, False], "e": "x\ny\u2603", "f": {"g": []}},
+            "h": [],
+            "i": 7,
+        }
+        out = io.StringIO()
+        session_io._write_json(out, doc, depth)
+        want = io.StringIO()
+        json.dump(doc, want)
+        assert out.getvalue() == want.getvalue()
 
     def test_millimeter_lengths_are_scaled(self, tmp_path):
         doc = valid_doc()

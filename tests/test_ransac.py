@@ -393,6 +393,185 @@ class TestSampleChunk:
             assert np.isnan(bearings[cset.valid]).any()
 
 
+def unbounded_score(blocks, rotations, translations, tau):
+    """Every entry of every pose scored, as before the bail-out test."""
+    totals = [0] * rotations.shape[0]
+    sums = [0.0] * rotations.shape[0]
+    keep_per_block = []
+    for block in blocks:
+        norms, _, keep = ransac._evaluate_block(block, rotations, translations, tau)
+        keep_per_block.append(keep)
+        for h, count in enumerate(np.count_nonzero(keep, axis=1).tolist()):
+            if count:
+                totals[h] += count
+                sums[h] += float(norms[h][keep[h]].sum())
+    means = [res_sum / total if total else 0.0 for res_sum, total in zip(sums, totals)]
+    return totals, means, keep_per_block
+
+
+def unbounded_ransac(cset, cfg):
+    """The winner's source, count, mean and pose bytes when every pose is scored in full."""
+    groups = ransac._sample_groups(cset)
+    bearings = ransac._entry_bearings(cset)
+    blocks = cset.camera_blocks(stride=cfg.coarse_stride)
+    iters, sols, rots, trans = ransac._sample_chunk(cset, groups, bearings, cfg.seed, 0, cfg.iterations)
+    best = None
+    for lo in range(0, iters.size, 16):
+        totals, means, _ = unbounded_score(blocks, rots[lo : lo + 16], trans[lo : lo + 16], cfg.tau)
+        for j, total, mean in zip(range(lo, lo + 16), totals, means):
+            key = ransac._candidate_key(total, mean, int(iters[j]), int(sols[j]))
+            if best is None or key < best[0]:
+                best = (key, rots[j], trans[j])
+    (neg_count, mean, k, l), rotation, translation = best
+    return (k, l), -neg_count, mean, rotation.tobytes() + translation.tobytes()
+
+
+def outcome(hyp):
+    pose = hyp.transform.rotation.tobytes() + hyp.transform.translation.tobytes()
+    return hyp.source, hyp.inlier_count, hyp.mean_inlier_residual, pose
+
+
+def spy_scanned(monkeypatch):
+    """Count the (pose, entry) pairs ``_evaluate_block`` scores; returns the running list."""
+    scanned = []
+    evaluate = ransac._evaluate_block
+
+    def counting(block, rotations, translations, tau=None):
+        scanned.append((rotations.shape[0], block.entry_ids.size))
+        return evaluate(block, rotations, translations, tau)
+
+    monkeypatch.setattr(ransac, "_evaluate_block", counting)
+    return scanned
+
+
+# The RANSAC settings of the benchmark's workloads, with fewer iterations, and
+# a noiseless session, where every good hypothesis ties on its count.
+BOUNDED_SESSIONS = {
+    "noisy_sweep": (SAMPLE_SESSIONS["noisy_sweep"], dict(tau=6.0, coarse_stride=5)),
+    "long_capture": (SAMPLE_SESSIONS["long_capture"], dict(coarse_stride=10)),
+    "distorted_mono": (SAMPLE_SESSIONS["distorted_mono"], dict(tau=6.0, coarse_stride=2)),
+    "noiseless": (dict(n_frames=40), dict(tau=2.0, coarse_stride=1)),
+}
+
+
+def sampled_poses(synth, n_poses, seed=9):
+    """The first ``n_poses`` MoCap poses RANSAC would score on ``synth``, plus its ground truth."""
+    cset = synth.correspondences
+    groups = ransac._sample_groups(cset)
+    _, _, rots, trans = ransac._sample_chunk(
+        cset, groups, ransac._entry_bearings(cset), seed, 0, n_poses
+    )
+    gt = synth.gt_extrinsic
+    rots = np.concatenate([rots[: n_poses - 1], gt.rotation[None]])
+    trans = np.concatenate([trans[: n_poses - 1], gt.translation[None]])
+    return rots, trans
+
+
+class TestBoundedScoring:
+    @pytest.mark.parametrize("name", list(BOUNDED_SESSIONS))
+    def test_run_ransac_equals_unbounded_scoring(self, name, monkeypatch):
+        synth_kw, ransac_kw = BOUNDED_SESSIONS[name]
+        cset = generate(SynthConfig(n_joints=17, seed=6, **synth_kw)).correspondences
+        cfg = RansacConfig(iterations=300, seed=21, **ransac_kw)
+        want = unbounded_ransac(cset, cfg)
+        default = (ransac._MIN_SEGMENT, ransac._MAX_SEGMENT_PAIRS)
+        for workers, size, (segment, max_pairs) in [
+            (1, 1, default),
+            (1, 2, default),
+            (1, 8, default),
+            (2, 8, default),
+            (1, 8, (16, 1 << 16)),
+            (2, 2, (7, 1 << 16)),
+            (1, 8, (2, 200)),
+        ]:
+            monkeypatch.setattr(ransac, "_SCORE_ITERATIONS", size)
+            monkeypatch.setattr(ransac, "_MIN_SEGMENT", segment)
+            monkeypatch.setattr(ransac, "_MAX_SEGMENT_PAIRS", max_pairs)
+            case = (workers, size, segment, max_pairs)
+            assert outcome(run_ransac(cset, cfg, workers=workers)) == want, case
+
+    @pytest.mark.parametrize("name", ["long_capture", "distorted_mono"])
+    @pytest.mark.parametrize("max_pairs", [1 << 20, 1000])
+    def test_bound_zero_is_unbounded_scoring(self, name, max_pairs, monkeypatch):
+        monkeypatch.setattr(ransac, "_MAX_SEGMENT_PAIRS", max_pairs)
+        synth = generate(SynthConfig(n_joints=17, seed=6, **SAMPLE_SESSIONS[name]))
+        blocks = synth.correspondences.camera_blocks(stride=2)
+        rots, trans = sampled_poses(synth, 24)
+        totals, means, masks = ransac._score_blocks(blocks, rots, trans, 6.0)
+        want_totals, want_means, want_keep = unbounded_score(blocks, rots, trans, 6.0)
+        assert totals == want_totals
+        assert means == want_means
+        for segments, keep in zip(masks, want_keep):
+            # Only the cap on pairs per segment splits a block.
+            widths = [mask.shape[1] for _, mask in segments]
+            assert (len(segments) == 1) == (24 * keep.shape[1] <= max_pairs)
+            assert max(widths) <= max_pairs // 24 + 1
+            assert all(rows.tolist() == list(range(24)) for rows, _ in segments)
+            mask = np.concatenate([mask for _, mask in segments], axis=1)
+            assert mask.tobytes() == keep.tobytes()
+
+    @pytest.mark.parametrize("segment", [2, 7, 1024])
+    def test_only_poses_that_reach_the_bound_get_a_mean(self, segment, monkeypatch):
+        monkeypatch.setattr(ransac, "_MIN_SEGMENT", segment)
+        synth = generate(SynthConfig(n_joints=17, seed=6, **SAMPLE_SESSIONS["long_capture"]))
+        blocks = synth.correspondences.camera_blocks(stride=2)
+        rots, trans = sampled_poses(synth, 24)
+        want_totals, want_means, _ = unbounded_score(blocks, rots, trans, 6.0)
+        bound = sorted(want_totals)[-3]
+        totals, means, _ = ransac._score_blocks(blocks, rots, trans, 6.0, bound)
+        survivors = [h for h, total in enumerate(want_totals) if total >= bound]
+        assert 3 <= len(survivors) < 24
+        for h in range(24):
+            if h in survivors:
+                assert totals[h] == want_totals[h]
+                assert means[h] == want_means[h]
+            else:
+                assert totals[h] < bound
+                assert means[h] is None
+
+    def test_scans_fewer_entries_than_every_pose_times_every_entry(self, monkeypatch):
+        cset = generate(
+            SynthConfig(n_joints=17, seed=6, **dict(SAMPLE_SESSIONS["long_capture"], n_frames=2000))
+        ).correspondences
+        cfg = RansacConfig(iterations=400, seed=21)
+        n_scored = sum(block.entry_ids.size for block in cset.camera_blocks(stride=10))
+        poses = []
+        score = ransac._score_blocks
+
+        def counting(blocks, rotations, translations, tau, bound=0):
+            poses.append(rotations.shape[0])
+            return score(blocks, rotations, translations, tau, bound)
+
+        monkeypatch.setattr(ransac, "_score_blocks", counting)
+        scanned = spy_scanned(monkeypatch)
+        run_ransac(cset, cfg, workers=1)
+        share = sum(h * n for h, n in scanned) / (sum(poses) * n_scored)
+        assert share < 0.5
+
+    def test_count_inliers_is_independent_of_the_pair_cap(self, monkeypatch):
+        synth = generate(SynthConfig(n_joints=17, seed=6, **SAMPLE_SESSIONS["distorted_mono"]))
+        cset = synth.correspondences
+        want = ransac.count_inliers(cset, synth.gt_extrinsic, 6.0)
+        monkeypatch.setattr(ransac, "_MAX_SEGMENT_PAIRS", 100)
+        scanned = spy_scanned(monkeypatch)
+        got = ransac.count_inliers(cset, synth.gt_extrinsic, 6.0)
+        assert len(scanned) > 1
+        assert got.ids.tobytes() == want.ids.tobytes()
+        assert got.mean_residual == want.mean_residual
+
+    def test_never_splits_off_a_one_entry_segment(self, monkeypatch):
+        # One block of 1,700 entries and bound 2: the first segment would end
+        # one entry before the block does.
+        synth = generate(SynthConfig(n_cameras=1, n_joints=17, n_frames=100, noise_sigma=2.0, seed=6))
+        blocks = synth.correspondences.camera_blocks(stride=1)
+        assert [block.entry_ids.size for block in blocks] == [1700]
+        rots, trans = sampled_poses(synth, 8)
+        scanned = spy_scanned(monkeypatch)
+        ransac._score_blocks(blocks, rots, trans, 6.0, bound=2)
+        assert scanned[0][1] == 1700
+        assert all(n >= 2 for _, n in scanned)
+
+
 class TestWorkerCount:
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("RPGD_THREADS", "4")

@@ -5,6 +5,7 @@ import pytest
 
 from mocapcal import (
     AdamState,
+    DistortionCoeffs,
     EmptyActiveSetError,
     EulerPose,
     RansacConfig,
@@ -22,7 +23,8 @@ from mocapcal import (
     run_ransac,
 )
 from mocapcal import refine
-from mocapcal.geometry import rotation_zyx_derivatives
+from mocapcal.geometry import distortion_jacobian, project_stacked, rotation_zyx_derivatives
+from mocapcal.ransac import CameraBlock
 from mocapcal.synth import GAUSSIAN, SynthConfig, generate
 
 from helpers import basic_camera, camera_to_mocap, make_set, random_rotation_matrix, unit_camera
@@ -135,6 +137,108 @@ class TestLossAndGradient:
         assert abs(strided.loss - restricted.loss) < 1e-15
         np.testing.assert_allclose(strided.gradient, restricted.gradient, atol=1e-15)
         assert strided.active_count == restricted.active_count
+
+
+def stacked_loss_and_gradient(blocks, pose):
+    """The loss and gradient as formed before the column sums ran per column.
+
+    The residual is a stacked (N, 2) array and the camera-frame vectors a
+    stacked (N, 3) array summed with ``sum(axis=0)``.
+    """
+    rot, drot_a, drot_b, drot_g = rotation_zyx_derivatives(pose.alpha, pose.beta, pose.gamma)
+    loss_sum, grad, active = 0.0, np.zeros(6), 0
+    for block in blocks:
+        cam = block.camera
+        z, xn, yn, u, v = (
+            coord[0]
+            for coord in project_stacked(cam, rot[None], pose.translation[None], block.points3d.T)
+        )
+        front = z > 0.0
+        if not np.any(front):
+            continue
+        pts3, obs = block.points3d, block.points2d
+        if not front.all():
+            pts3, obs = pts3[front], obs[front]
+            z, xn, yn, u, v = z[front], xn[front], yn[front], u[front], v[front]
+        res = np.stack([u - obs[:, 0], v - obs[:, 1]], axis=-1)
+        loss_sum += float((res * res).sum())
+        active += int(z.size)
+        pr0 = cam.fx * res[:, 0]
+        pr1 = cam.skew * res[:, 0] + cam.fy * res[:, 1]
+        if cam.distortion is not None:
+            jac = distortion_jacobian(cam.distortion, np.stack([xn, yn], axis=-1))
+            pr0, pr1 = (
+                jac[:, 0, 0] * pr0 + jac[:, 1, 0] * pr1,
+                jac[:, 0, 1] * pr0 + jac[:, 1, 1] * pr1,
+            )
+        cr = np.stack([pr0 / z, pr1 / z, -(xn * pr0 + yn * pr1) / z], axis=-1)
+        grad[3:] += cam.rotation.T @ cr.sum(axis=0)
+        moment = cr.T @ pts3
+        for axis, drot in enumerate((drot_a, drot_b, drot_g)):
+            grad[axis] += float(((cam.rotation @ drot) * moment).sum())
+    if active == 0:
+        return 0.0, np.zeros(6), 0
+    return loss_sum / (2.0 * active), grad / active, active
+
+
+def perturbed_poses(transform, rng, count=4):
+    alpha, beta, gamma = rotation_to_euler(transform.rotation)
+    base = np.concatenate(([alpha, beta, gamma], transform.translation))
+    scale = np.array([0.01, 0.01, 0.01, 0.02, 0.02, 0.02])
+    return [EulerPose.from_vector(base + scale * rng.normal(size=6)) for _ in range(count)]
+
+
+def assert_same_bits(blocks, poses):
+    for pose in poses:
+        got = refine._loss_and_gradient_on_blocks(blocks, pose)
+        loss, grad, active = stacked_loss_and_gradient(blocks, pose)
+        assert got.loss == loss
+        assert got.gradient.tobytes() == grad.tobytes()
+        assert got.active_count == active
+
+
+class TestSameBitsAsStackedFormula:
+    def test_undistorted_two_cameras(self, rng):
+        synth = generate(SynthConfig(n_frames=60, noise_sigma=2.0, outlier_fraction=0.2, seed=3))
+        cset = synth.correspondences
+        assert_same_bits(cset.camera_blocks(), perturbed_poses(synth.gt_extrinsic, rng))
+        for size in rng.integers(2, cset.n_entries, size=30):
+            ids = np.sort(rng.choice(cset.n_entries, size=int(size), replace=False))
+            blocks = cset.camera_blocks(restrict_to=ids)
+            assert_same_bits(blocks, perturbed_poses(synth.gt_extrinsic, rng, count=1))
+
+    def test_distorted_mono(self, rng):
+        synth = generate(
+            SynthConfig(
+                n_cameras=1,
+                n_frames=60,
+                noise_sigma=2.0,
+                outlier_fraction=0.5,
+                invalid_fraction=0.2,
+                distortion=DistortionCoeffs(k1=0.3, k2=0.1),
+                seed=3,
+            )
+        )
+        blocks = synth.correspondences.camera_blocks()
+        assert_same_bits(blocks, perturbed_poses(synth.gt_extrinsic, rng))
+
+    def test_block_with_points_behind_the_camera(self, rng):
+        cam = basic_camera()
+        pts3 = np.column_stack([rng.uniform(-1.0, 1.0, (40, 2)), rng.uniform(-2.0, 4.0, 40)])
+        pix = rng.uniform((0.0, 0.0), (1280.0, 720.0), (40, 2))
+        rows = [(0, j, 0, p3, p2, True) for j, (p3, p2) in enumerate(zip(pts3, pix))]
+        blocks = make_set([cam], rows, dims=(1, 40, 1)).camera_blocks()
+        poses = perturbed_poses(RigidTransform.identity(), rng)
+        assert all(
+            0 < refine._loss_and_gradient_on_blocks(blocks, pose).active_count < 40 for pose in poses
+        )
+        assert_same_bits(blocks, poses)
+
+    def test_one_entry_block(self, rng):
+        rows = [(0, 0, 0, (0.1, -0.2, 3.0), (700.0, 300.0), True)]
+        block = make_set([basic_camera()], rows, dims=(1, 1, 1)).camera_blocks()[0]
+        assert isinstance(block, CameraBlock) and block.entry_ids.size == 1
+        assert_same_bits([block], perturbed_poses(RigidTransform.identity(), rng))
 
 
 class TestCosineSchedule:
