@@ -68,11 +68,6 @@ _SCORE_ITERATIONS = 8
 # workloads.
 _MIN_SEGMENT = 512
 
-# (pose, entry) pairs one scoring segment covers at most. A larger stacked
-# (3H, 3) @ (3, N) product crosses OpenBLAS's threading threshold: on
-# 2 vCPUs that cost CPU time and, at some sizes, 8-16 ms a call.
-_MAX_SEGMENT_PAIRS = 1 << 16
-
 # Consecutive iterations whose minimal samples are solved in one batch.
 _SAMPLE_ITERATIONS = 256
 
@@ -276,7 +271,7 @@ def _score_blocks(
     translations: np.ndarray,
     tau: float,
     bound: int = 0,
-) -> tuple[list[int], list[Optional[float]], list[list[tuple[np.ndarray, np.ndarray]]]]:
+) -> tuple[list[int], list[Optional[float]], list[np.ndarray]]:
     """Inlier counts of H poses, and the mean inlier residual of those reaching ``bound``.
 
     Scores the H poses ``rotations`` (H, 3, 3) and ``translations`` (H, 3)
@@ -287,16 +282,20 @@ def _score_blocks(
     statistics). A pose that could still tie keeps its place. A segment
     runs up to the first entry at which a pose could be dropped, and the
     k-th segment of a block over at least ``_MIN_SEGMENT * 2**k`` entries,
-    so with ``bound`` 0 each block is one segment, unless it holds more
-    than ``_MAX_SEGMENT_PAIRS`` pairs of a pose and an entry.
+    so with ``bound`` 0 each block is one segment.
 
     Returns per pose its inlier count (a dropped pose's count so far) and
     its mean inlier residual, or ``None`` for a pose that was dropped or
-    ends below ``bound``; and per block its segments, each as the indices
-    of the poses it scanned and their inlier mask. A mean adds each
-    block's kept residuals, in storage order, then the block sums in block
-    order, so it depends neither on the other poses scored with it nor on
-    the segments.
+    ends below ``bound``; and per block the inlier mask of the poses that
+    get a mean, in pose order, which with ``bound`` 0 is every pose. A
+    mean adds each block's kept residuals, in storage order, then the
+    block sums in block order, so it depends neither on the other poses
+    scored with it nor on the segments. That holds as long as the BLAS
+    product of the stacked projection gives each entry the same bits
+    whatever the number of poses and entries it is computed for, which
+    the tests check on the machine they run on. A one-entry product,
+    which numpy computes as a matrix-vector product, does not, so no
+    one-entry segment is split off a longer block.
     """
     counts = np.zeros(rotations.shape[0], dtype=np.int64)
     live = np.arange(rotations.shape[0])
@@ -308,10 +307,7 @@ def _score_blocks(
         lo = 0
         while lo < n and live.size:
             reach = int(counts[live].min()) + remaining - bound + 1
-            width = max(reach, _MIN_SEGMENT << len(segments))
-            hi = min(n, lo + width, lo + _MAX_SEGMENT_PAIRS // live.size)
-            # A one-entry segment would project through a matrix-vector
-            # product, whose last bits differ from the matrix product's.
+            hi = min(n, lo + max(reach, _MIN_SEGMENT << len(segments)))
             if hi == n - 1:
                 hi = n
             segment = block._replace(
@@ -329,16 +325,19 @@ def _score_blocks(
 
     totals = counts.tolist()
     means: list[Optional[float]] = [None] * len(totals)
-    for h in live.tolist():
-        res_sum = 0.0
-        for segments in scans:
-            kept = []
-            for rows, norms, keep in segments:
-                row = np.searchsorted(rows, h)
-                kept.append(norms[row][keep[row]])
-            res_sum += float(np.concatenate(kept).sum())
+    if not live.size:
+        return totals, means, [np.zeros((0, block.entry_ids.size), dtype=bool) for block in blocks]
+    sums = [0.0] * live.size
+    masks = []
+    for segments in scans:
+        rows = [np.searchsorted(scanned, live) for scanned, _, _ in segments]
+        norms = np.concatenate([n[r] for r, (_, n, _) in zip(rows, segments)], axis=1)
+        keep = np.concatenate([k[r] for r, (_, _, k) in zip(rows, segments)], axis=1)
+        masks.append(keep)
+        for i in range(live.size):
+            sums[i] += float(norms[i][keep[i]].sum())
+    for res_sum, h in zip(sums, live.tolist()):
         means[h] = res_sum / totals[h] if totals[h] else 0.0
-    masks = [[(rows, keep) for rows, _, keep in segments] for segments in scans]
     return totals, means, masks
 
 
@@ -353,13 +352,10 @@ def count_inliers(
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     blocks = cset.camera_blocks(stride=stride, restrict_to=restrict_to)
-    _, means, masks = _score_blocks(
+    _, means, keep_per_block = _score_blocks(
         blocks, transform.rotation[None], transform.translation[None], tau
     )
-    id_chunks = [
-        block.entry_ids[np.concatenate([keep[0] for _, keep in segments])]
-        for block, segments in zip(blocks, masks)
-    ]
+    id_chunks = [block.entry_ids[keep[0]] for block, keep in zip(blocks, keep_per_block)]
     ids = np.sort(np.concatenate(id_chunks)) if id_chunks else np.empty(0, dtype=np.int64)
     return InlierCount(ids=ids, mean_residual=means[0])
 

@@ -229,29 +229,6 @@ def load_session(path: str) -> SessionData:
     )
 
 
-def _write_json(fh, value, depth: int) -> None:
-    """Write ``value`` to ``fh`` as ``json.dump`` would, through the C encoder.
-
-    ``json.dump`` always runs the pure-Python encoder; ``json.dumps`` runs
-    the C one but holds the whole text. So objects and lists are opened
-    here down to ``depth`` levels, and each value below is encoded with
-    ``json.dumps`` on its own: with ``depth`` 3 no piece of a session
-    file is longer than one frame of one camera's keypoints.
-    """
-    if depth == 0 or not isinstance(value, (dict, list)) or not value:
-        fh.write(json.dumps(value))
-    elif isinstance(value, dict):
-        for i, (key, item) in enumerate(value.items()):
-            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-            _write_json(fh, item, depth - 1)
-        fh.write("}")
-    else:
-        for i, item in enumerate(value):
-            fh.write("[" if i == 0 else ", ")
-            _write_json(fh, item, depth - 1)
-        fh.write("]")
-
-
 def save_session(
     path: str, cset: CorrespondenceSet, gt_extrinsic: Optional[RigidTransform] = None
 ) -> None:
@@ -293,8 +270,10 @@ def save_session(
             else None
         ),
     }
+    # json.dump would run the pure-Python encoder; json.dumps runs the C one
+    # and writes the same text.
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(fh, doc, depth=3)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 

@@ -1,5 +1,4 @@
 import copy
-import io
 import json
 
 import numpy as np
@@ -12,7 +11,6 @@ from mocapcal import (
     RigidTransform,
     calibrate,
 )
-from mocapcal import session_io
 from mocapcal.session_io import (
     load_report,
     load_session,
@@ -117,20 +115,6 @@ class TestSessionRoundTrip:
             json.dump(doc, fh)
             fh.write("\n")
         assert saved == reference.read_bytes()
-
-    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 5])
-    def test_write_json_matches_json_dump(self, depth):
-        doc = {
-            "a": [[1.5, -0.0, 1e-300, 2], [], [[3, [4.25]], {}]],
-            "b\u00e9\"": {"c": None, "d": [True, False], "e": "x\ny\u2603", "f": {"g": []}},
-            "h": [],
-            "i": 7,
-        }
-        out = io.StringIO()
-        session_io._write_json(out, doc, depth)
-        want = io.StringIO()
-        json.dump(doc, want)
-        assert out.getvalue() == want.getvalue()
 
     def test_millimeter_lengths_are_scaled(self, tmp_path):
         doc = valid_doc()
