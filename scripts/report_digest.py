@@ -140,7 +140,7 @@ def main():
     docs = {}
     combined = hashlib.sha256()
     for name, cset, kwargs in itertools.chain(sweep_runs(20), mono_runs(3), clean_runs(4)):
-        docs[name] = report_doc(calibrate(cset, workers=1, **kwargs))
+        docs[name] = report_doc(calibrate(cset, **kwargs))
         digest = hashlib.sha256(json.dumps(docs[name], indent=2).encode("utf-8")).hexdigest()
         combined.update(digest.encode("ascii"))
         print(f"{name:<12} {digest}", flush=True)

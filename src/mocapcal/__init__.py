@@ -47,7 +47,6 @@ from .ransac import (
     RansacConfig,
     count_inliers,
     run_ransac,
-    worker_count,
 )
 from .refine import (
     AdamState,
@@ -141,5 +140,4 @@ __all__ = [
     "save_session",
     "solve_p3p",
     "undistort_normalized",
-    "worker_count",
 ]

@@ -100,7 +100,6 @@ def calibrate(
     ransac_cfg: RansacConfig = RansacConfig(),
     refine_cfg: RefineConfig = RefineConfig(),
     gt_extrinsic: Optional[RigidTransform] = None,
-    workers: Optional[int] = None,
     warnings: Sequence[str] = (),
 ) -> CalibrationReport:
     """Estimate the MoCap-to-world transform and report on the run.
@@ -117,7 +116,7 @@ def calibrate(
     ``gt_extrinsic`` is given. Timing excludes I/O performed by callers.
     """
     t_start = time.perf_counter()
-    hypothesis = run_ransac(cset, ransac_cfg, workers=workers)
+    hypothesis = run_ransac(cset, ransac_cfg)
     t_ransac = time.perf_counter()
 
     init = _evaluate(cset.camera_blocks(stride=1), hypothesis.transform, ransac_cfg.tau)

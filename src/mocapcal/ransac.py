@@ -26,20 +26,13 @@ bail-out test for RANSAC consensus scoring", BMVC 2005) in its exact
 form, without the statistics, so the winner is the one full scoring
 would pick. Only the winner becomes a :class:`RigidTransform`.
 
-The search is embarrassingly parallel. Each iteration seeds its own RNG
-substream from ``(seed, iteration)``, so results are bit-identical no
-matter how many worker threads score hypotheses; the ``RPGD_THREADS``
-environment variable (0 = auto) sets the default worker count. Threads
-only pay off on large passes: below ``POOL_MIN_ENTRIES`` scored entries
-the GIL-bound sampling and P3P of each thread wait on the other's, and
-how long they wait depends on what else the machine runs, so the auto
-count is then one thread.
+Each iteration draws its sample from its own RNG substream, seeded from
+``(seed, iteration)``, so the result depends neither on how iterations
+are chunked nor, the bail-out test being exact, on the segment sizes.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -48,12 +41,6 @@ import numpy as np
 from .errors import InsufficientConsensusError, NoValidSampleError
 from .geometry import CameraModel, RigidTransform, pixel_bearings, project_stacked
 from .p3p import recover_mocap_poses, solve_p3p_batch
-
-MAX_WORKERS = 64
-
-# Scored entries per hypothesis pass from which the auto worker count is
-# one thread per CPU rather than one thread.
-POOL_MIN_ENTRIES = 20_000
 
 # Consecutive iterations whose solutions are scored in one pass per block.
 # Larger passes pay less per-call overhead but grow the (H, N) temporaries;
@@ -70,29 +57,6 @@ _MIN_SEGMENT = 512
 
 # Consecutive iterations whose minimal samples are solved in one batch.
 _SAMPLE_ITERATIONS = 256
-
-
-def worker_count(requested: Optional[int] = None, n_scored: Optional[int] = None) -> int:
-    """Resolve a worker count from an argument or ``RPGD_THREADS``.
-
-    ``None`` falls back to the environment variable; 0 (from either
-    source) means auto: one thread per CPU, or one thread when
-    ``n_scored``, the entries each hypothesis is scored on, is below
-    ``POOL_MIN_ENTRIES``. The result is clamped to [1, MAX_WORKERS].
-    """
-    if requested is None:
-        raw = os.environ.get("RPGD_THREADS", "").strip()
-        if raw:
-            try:
-                requested = int(raw)
-            except ValueError as exc:
-                raise ValueError(f"RPGD_THREADS must be an integer, got {raw!r}") from exc
-        else:
-            requested = 0
-    if requested == 0:
-        small = n_scored is not None and n_scored < POOL_MIN_ENTRIES
-        requested = 1 if small else os.cpu_count() or 1
-    return max(1, min(int(requested), MAX_WORKERS))
 
 
 class CameraBlock(NamedTuple):
@@ -176,9 +140,6 @@ class CorrespondenceSet:
     @property
     def n_entries(self) -> int:
         return int(self.cam_indices.shape[0])
-
-    def __len__(self) -> int:
-        return self.n_entries
 
     def selection_mask(
         self, stride: int = 1, restrict_to: Optional[np.ndarray] = None
@@ -470,7 +431,6 @@ def _sample_chunk(
 def run_ransac(
     cset: CorrespondenceSet,
     cfg: RansacConfig = RansacConfig(),
-    workers: Optional[int] = None,
 ) -> Hypothesis:
     """Search for the pose hypothesis with the largest consensus.
 
@@ -481,13 +441,10 @@ def run_ransac(
     iterations are solved in one batch; degenerate samples and rootless
     quartics consume their iteration. The solutions of
     ``_SCORE_ITERATIONS`` consecutive iterations are scored in one pass,
-    bounded by the calling thread's best count so far: a solution is
-    dropped, and gets no mean, once it can no longer reach that count, so
-    ties still go to the mean. Neither chunk size nor the bound changes
-    the result.
-    Ties are broken by mean inlier residual, then by iteration order, so
-    the result is independent of thread count. ``workers`` resolves
-    through :func:`worker_count` with the number of scored entries.
+    bounded by the best count so far: a solution is dropped, and gets no
+    mean, once it can no longer reach that count, so ties still go to the
+    mean. Neither chunk size nor the bound changes the result.
+    Ties are broken by mean inlier residual, then by iteration order.
 
     Raises :class:`NoValidSampleError` when nothing can be sampled and
     :class:`InsufficientConsensusError` when the best hypothesis explains
@@ -505,43 +462,24 @@ def run_ransac(
             f"no valid entry survives coarse stride {cfg.coarse_stride}"
         )
 
-    n_workers = worker_count(workers, n_scored)
     bearings = _entry_bearings(cset)
     best = None
-
-    def reduce_chunk(start: int, stop: int):
-        local = None
-        for first in range(start, stop, _SAMPLE_ITERATIONS):
-            last = min(first + _SAMPLE_ITERATIONS, stop)
-            iters, sols, rots, transs = _sample_chunk(cset, groups, bearings, cfg.seed, first, last)
-            edges = np.searchsorted(iters, range(first, last, _SCORE_ITERATIONS)).tolist()
-            for lo, hi in zip(edges, edges[1:] + [iters.size]):
-                if lo == hi:
+    for first in range(0, cfg.iterations, _SAMPLE_ITERATIONS):
+        last = min(first + _SAMPLE_ITERATIONS, cfg.iterations)
+        iters, sols, rots, transs = _sample_chunk(cset, groups, bearings, cfg.seed, first, last)
+        edges = np.searchsorted(iters, range(first, last, _SCORE_ITERATIONS)).tolist()
+        for lo, hi in zip(edges, edges[1:] + [iters.size]):
+            if lo == hi:
+                continue
+            bound = 0 if best is None else -best[0][0]
+            totals, means, _ = _score_blocks(blocks, rots[lo:hi], transs[lo:hi], cfg.tau, bound)
+            sources = zip(iters[lo:hi].tolist(), sols[lo:hi].tolist())
+            for j, (k, l), total, mean in zip(range(lo, hi), sources, totals, means):
+                if mean is None:
                     continue
-                bound = 0 if local is None else -local[0][0]
-                totals, means, _ = _score_blocks(
-                    blocks, rots[lo:hi], transs[lo:hi], cfg.tau, bound
-                )
-                sources = zip(iters[lo:hi].tolist(), sols[lo:hi].tolist())
-                for j, (k, l), total, mean in zip(range(lo, hi), sources, totals, means):
-                    if mean is None:
-                        continue
-                    key = _candidate_key(total, mean, k, l)
-                    if local is None or key < local[0]:
-                        local = (key, rots[j], transs[j])
-        return local
-
-    if n_workers == 1:
-        best = reduce_chunk(0, cfg.iterations)
-    else:
-        chunk = max(1, -(-cfg.iterations // (n_workers * 4)))
-        bounds = [
-            (s, min(s + chunk, cfg.iterations)) for s in range(0, cfg.iterations, chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for cand in pool.map(lambda b: reduce_chunk(*b), bounds):
-                if cand is not None and (best is None or cand[0] < best[0]):
-                    best = cand
+                key = _candidate_key(total, mean, k, l)
+                if best is None or key < best[0]:
+                    best = (key, rots[j], transs[j])
 
     if best is None:
         raise InsufficientConsensusError(

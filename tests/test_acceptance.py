@@ -27,6 +27,7 @@ from mocapcal import (
     run_ransac,
     solve_p3p,
 )
+from mocapcal import ransac
 from mocapcal.session_io import (
     load_report,
     load_session,
@@ -234,25 +235,37 @@ def test_criterion_5_refinement_value(noisy_sweep):
     accept(5, ok, f"median refinement improvement {median:.3f} (>= 0.15) over 20 seeds")
 
 
-def test_criterion_6_worker_determinism():
+def test_criterion_6_chunking_determinism(monkeypatch):
     session = generate(
         SynthConfig(
             n_cameras=2, n_joints=17, n_frames=100, noise_sigma=2.0, outlier_fraction=0.2, seed=6
         )
     )
+    settings = [
+        {},
+        {"_SAMPLE_ITERATIONS": 1},
+        {"_SAMPLE_ITERATIONS": 7},
+        {"_SCORE_ITERATIONS": 1},
+        {"_MIN_SEGMENT": 2},
+    ]
     docs = []
-    for workers in (1, 8):
-        report = calibrate(
-            session.correspondences,
-            RansacConfig(seed=6, **NOISY_RANSAC),
-            NOISY_REFINE,
-            workers=workers,
-        )
+    for patch in settings:
+        with monkeypatch.context() as m:
+            for name, value in patch.items():
+                m.setattr(ransac, name, value)
+            report = calibrate(
+                session.correspondences, RansacConfig(seed=6, **NOISY_RANSAC), NOISY_REFINE
+            )
         doc = report_to_dict(report)
         doc.pop("timing")
         docs.append(json.dumps(doc, sort_keys=False))
-    ok = docs[0] == docs[1]
-    accept(6, ok, "1-thread and 8-thread reports byte-identical modulo timing")
+    ok = all(doc == docs[0] for doc in docs)
+    accept(
+        6,
+        ok,
+        f"reports byte-identical modulo timing over {len(settings)} sample, score "
+        "and segment chunkings",
+    )
 
 
 def test_criterion_7_throughput():

@@ -334,8 +334,7 @@ class TestQuietLibraryCalls:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             calibrate(cset, cfg, RefineConfig(steps=50, fine_stride=1))
-            for workers in (1, 2):
-                run_ransac(cset, cfg, workers=workers)
+            run_ransac(cset, cfg)
             batch = solve_p3p_batch(points, bearings)
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert capsys.readouterr().out == ""

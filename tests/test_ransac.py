@@ -20,10 +20,8 @@ from mocapcal import (
     rotation_geodesic_deg,
     run_ransac,
     solve_p3p,
-    worker_count,
 )
 from mocapcal import ransac
-from mocapcal.ransac import POOL_MIN_ENTRIES
 from mocapcal.synth import SynthConfig, generate
 
 from helpers import basic_camera, make_set
@@ -268,24 +266,13 @@ class TestRunRansac:
         with pytest.raises(InsufficientConsensusError):
             run_ransac(noisy.correspondences, cfg)
 
-    def test_deterministic_across_worker_counts(self, outlier_session):
-        cset = outlier_session.correspondences
-        cfg = RansacConfig(tau=6.0, iterations=200, seed=7, coarse_stride=2)
-        single = run_ransac(cset, cfg, workers=1)
-        parallel = run_ransac(cset, cfg, workers=8)
-        assert single.source == parallel.source
-        assert single.inlier_count == parallel.inlier_count
-        assert single.mean_inlier_residual == parallel.mean_inlier_residual
-        assert np.array_equal(single.transform.rotation, parallel.transform.rotation)
-        assert np.array_equal(single.transform.translation, parallel.transform.translation)
-
     def test_independent_of_score_batch_size(self, outlier_session, monkeypatch):
         cset = outlier_session.correspondences
         cfg = RansacConfig(tau=6.0, iterations=60, seed=7, coarse_stride=2)
         seen = set()
         for size in (1, 2, 5):
             monkeypatch.setattr(ransac, "_SCORE_ITERATIONS", size)
-            hyp = run_ransac(cset, cfg, workers=1)
+            hyp = run_ransac(cset, cfg)
             pose = hyp.transform.rotation.tobytes() + hyp.transform.translation.tobytes()
             seen.add((hyp.source, hyp.inlier_count, hyp.mean_inlier_residual, pose))
         assert len(seen) == 1
@@ -296,7 +283,7 @@ class TestRunRansac:
         seen = set()
         for size in (1, 7, ransac._SAMPLE_ITERATIONS):
             monkeypatch.setattr(ransac, "_SAMPLE_ITERATIONS", size)
-            hyp = run_ransac(cset, cfg, workers=1)
+            hyp = run_ransac(cset, cfg)
             pose = hyp.transform.rotation.tobytes() + hyp.transform.translation.tobytes()
             seen.add((hyp.source, hyp.inlier_count, hyp.mean_inlier_residual, pose))
         assert len(seen) == 1
@@ -477,19 +464,10 @@ class TestBoundedScoring:
         default = ransac._MIN_SEGMENT
         # Small segment minimums split blocks into many segments of varied
         # widths, so a BLAS whose bits depend on the product's width shows.
-        for workers, size, segment in [
-            (1, 1, default),
-            (1, 2, default),
-            (1, 8, default),
-            (2, 8, default),
-            (1, 8, 16),
-            (2, 2, 7),
-            (1, 8, 2),
-        ]:
+        for size, segment in [(1, default), (2, default), (8, default), (8, 16), (2, 7), (8, 2)]:
             monkeypatch.setattr(ransac, "_SCORE_ITERATIONS", size)
             monkeypatch.setattr(ransac, "_MIN_SEGMENT", segment)
-            case = (workers, size, segment)
-            assert outcome(run_ransac(cset, cfg, workers=workers)) == want, case
+            assert outcome(run_ransac(cset, cfg)) == want, (size, segment)
 
     @pytest.mark.parametrize("name", ["long_capture", "distorted_mono"])
     def test_bound_zero_is_unbounded_scoring(self, name, monkeypatch):
@@ -540,7 +518,7 @@ class TestBoundedScoring:
 
         monkeypatch.setattr(ransac, "_score_blocks", counting)
         scanned = spy_scanned(monkeypatch)
-        run_ransac(cset, cfg, workers=1)
+        run_ransac(cset, cfg)
         share = sum(h * n for h, n in scanned) / (sum(poses) * n_scored)
         assert share < 0.5
 
@@ -556,34 +534,3 @@ class TestBoundedScoring:
         assert scanned[0][1] == 1700
         assert all(n >= 2 for _, n in scanned)
 
-
-class TestWorkerCount:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("RPGD_THREADS", "4")
-        assert worker_count(2) == 2
-
-    def test_env_variable_used_when_no_argument(self, monkeypatch):
-        monkeypatch.setenv("RPGD_THREADS", "6")
-        assert worker_count(None) == 6
-
-    def test_invalid_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("RPGD_THREADS", "zero")
-        with pytest.raises(ValueError, match="RPGD_THREADS"):
-            worker_count(None)
-
-    def test_clamped_to_supported_range(self, monkeypatch):
-        monkeypatch.delenv("RPGD_THREADS", raising=False)
-        assert worker_count(500) == 64
-        assert worker_count(-3) == 1
-        assert worker_count(None) >= 1
-
-    def test_auto_is_one_thread_below_pool_size(self, monkeypatch):
-        monkeypatch.delenv("RPGD_THREADS", raising=False)
-        assert worker_count(None, POOL_MIN_ENTRIES - 1) == 1
-        assert worker_count(0, POOL_MIN_ENTRIES - 1) == 1
-        assert worker_count(None, POOL_MIN_ENTRIES) == worker_count(None)
-        assert worker_count(3, 10) == 3
-        monkeypatch.setenv("RPGD_THREADS", "0")
-        assert worker_count(None, 10) == 1
-        monkeypatch.setenv("RPGD_THREADS", "2")
-        assert worker_count(None, 10) == 2
