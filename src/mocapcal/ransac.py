@@ -375,10 +375,11 @@ def _sample_groups(cset: CorrespondenceSet) -> list[tuple[int, np.ndarray]]:
     return groups
 
 
-# Candidate ordering: more inliers, then lower mean residual, then the
-# earliest (iteration, solution) pair. Stored as a min-key.
-def _candidate_key(count: int, mean: float, k: int, l: int):
-    return (-count, mean, k, l)
+# Candidate ordering: more inliers, then lower mean residual. Stored as a
+# min-key; candidates arrive in (iteration, solution) order and only a
+# strictly smaller key replaces the best, so the earliest wins a tie.
+def _candidate_key(count: int, mean: float):
+    return (-count, mean)
 
 
 def _entry_bearings(cset: CorrespondenceSet) -> np.ndarray:
@@ -431,6 +432,7 @@ def _sample_chunk(
 def run_ransac(
     cset: CorrespondenceSet,
     cfg: RansacConfig = RansacConfig(),
+    workers: Optional[int] = None,
 ) -> Hypothesis:
     """Search for the pose hypothesis with the largest consensus.
 
@@ -445,6 +447,9 @@ def run_ransac(
     mean, once it can no longer reach that count, so ties still go to the
     mean. Neither chunk size nor the bound changes the result.
     Ties are broken by mean inlier residual, then by iteration order.
+    ``workers`` has no effect: the search runs one sequential path. It is
+    accepted only because the benchmark's per-layer probe still passes it
+    (ROADMAP item 3); it goes when that probe does.
 
     Raises :class:`NoValidSampleError` when nothing can be sampled and
     :class:`InsufficientConsensusError` when the best hypothesis explains
@@ -477,15 +482,15 @@ def run_ransac(
             for j, (k, l), total, mean in zip(range(lo, hi), sources, totals, means):
                 if mean is None:
                     continue
-                key = _candidate_key(total, mean, k, l)
+                key = _candidate_key(total, mean)
                 if best is None or key < best[0]:
-                    best = (key, rots[j], transs[j])
+                    best = (key, (k, l), rots[j], transs[j])
 
     if best is None:
         raise InsufficientConsensusError(
             "no sample produced a scorable pose hypothesis"
         )
-    (neg_count, mean, k, l), rotation, translation = best
+    (neg_count, mean), source, rotation, translation = best
     count = -neg_count
     ratio = count / n_scored
     if ratio < cfg.min_inlier_ratio:
@@ -495,5 +500,5 @@ def run_ransac(
         )
     return Hypothesis(
         RigidTransform(rotation, translation),
-        inlier_count=count, inlier_ratio=ratio, mean_inlier_residual=mean, source=(k, l)
+        inlier_count=count, inlier_ratio=ratio, mean_inlier_residual=mean, source=source
     )

@@ -266,6 +266,17 @@ class TestRunRansac:
         with pytest.raises(InsufficientConsensusError):
             run_ransac(noisy.correspondences, cfg)
 
+    def test_deterministic_across_worker_counts(self, outlier_session):
+        cset = outlier_session.correspondences
+        cfg = RansacConfig(tau=6.0, iterations=200, seed=7, coarse_stride=2)
+        single = run_ransac(cset, cfg, workers=1)
+        parallel = run_ransac(cset, cfg, workers=8)
+        assert single.source == parallel.source
+        assert single.inlier_count == parallel.inlier_count
+        assert single.mean_inlier_residual == parallel.mean_inlier_residual
+        assert np.array_equal(single.transform.rotation, parallel.transform.rotation)
+        assert np.array_equal(single.transform.translation, parallel.transform.translation)
+
     def test_independent_of_score_batch_size(self, outlier_session, monkeypatch):
         cset = outlier_session.correspondences
         cfg = RansacConfig(tau=6.0, iterations=60, seed=7, coarse_stride=2)
@@ -406,11 +417,11 @@ def unbounded_ransac(cset, cfg):
     for lo in range(0, iters.size, 16):
         totals, means, _ = unbounded_score(blocks, rots[lo : lo + 16], trans[lo : lo + 16], cfg.tau)
         for j, total, mean in zip(range(lo, lo + 16), totals, means):
-            key = ransac._candidate_key(total, mean, int(iters[j]), int(sols[j]))
+            key = ransac._candidate_key(total, mean)
             if best is None or key < best[0]:
-                best = (key, rots[j], trans[j])
-    (neg_count, mean, k, l), rotation, translation = best
-    return (k, l), -neg_count, mean, rotation.tobytes() + translation.tobytes()
+                best = (key, (int(iters[j]), int(sols[j])), rots[j], trans[j])
+    (neg_count, mean), source, rotation, translation = best
+    return source, -neg_count, mean, rotation.tobytes() + translation.tobytes()
 
 
 def outcome(hyp):
