@@ -205,35 +205,47 @@ class EulerPose:
         return RigidTransform(rotation_zyx(self.alpha, self.beta, self.gamma), self.translation)
 
 
-def rotation_zyx(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Build ``Rz(gamma) @ Ry(beta) @ Rx(alpha)`` directly."""
+def _zyx_rows(alpha: float, beta: float, gamma: float) -> tuple[list, tuple]:
+    """Entries of ``Rz(gamma) @ Ry(beta) @ Rx(alpha)`` and the angles' cosines and sines."""
     ca, sa = math.cos(alpha), math.sin(alpha)
     cb, sb = math.cos(beta), math.sin(beta)
     cg, sg = math.cos(gamma), math.sin(gamma)
-    return np.array(
-        [
-            [cg * cb, cg * sb * sa - sg * ca, cg * sb * ca + sg * sa],
-            [sg * cb, sg * sb * sa + cg * ca, sg * sb * ca - cg * sa],
-            [-sb, cb * sa, cb * ca],
-        ]
-    )
+    rows = [
+        [cg * cb, cg * sb * sa - sg * ca, cg * sb * ca + sg * sa],
+        [sg * cb, sg * sb * sa + cg * ca, sg * sb * ca - cg * sa],
+        [-sb, cb * sa, cb * ca],
+    ]
+    return rows, (ca, sa, cb, sb, cg, sg)
+
+
+def rotation_zyx(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Build ``Rz(gamma) @ Ry(beta) @ Rx(alpha)`` directly."""
+    return np.array(_zyx_rows(alpha, beta, gamma)[0])
 
 
 def rotation_zyx_derivatives(
     alpha: float, beta: float, gamma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``R`` and its partial derivatives w.r.t. each angle."""
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, ca, -sa], [0.0, sa, ca]])
-    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rz = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
-    drx = np.array([[0.0, 0.0, 0.0], [0.0, -sa, -ca], [0.0, ca, -sa]])
-    dry = np.array([[-sb, 0.0, cb], [0.0, 0.0, 0.0], [-cb, 0.0, -sb]])
-    drz = np.array([[-sg, -cg, 0.0], [cg, -sg, 0.0], [0.0, 0.0, 0.0]])
-    rot = rz @ ry @ rx
-    return rot, rz @ ry @ drx, rz @ dry @ rx, drz @ ry @ rx
+    """Return ``R`` and its partial derivatives w.r.t. each angle.
+
+    All four are closed forms in the same sines and cosines, and ``R`` is
+    bit for bit :func:`rotation_zyx`.
+    """
+    rows, (ca, sa, cb, sb, cg, sg) = _zyx_rows(alpha, beta, gamma)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+    # One flat list: NumPy builds it several times faster than nested ones.
+    # dR/dalpha = R [e_x]x has columns 0, R[:, 2], -R[:, 1], and
+    # dR/dgamma = [e_z]x R has rows -R[1], R[0], 0.
+    entries = [
+        r00, r01, r02, r10, r11, r12, r20, r21, r22,
+        0.0, r02, -r01, 0.0, r12, -r11, 0.0, r22, -r21,
+        -cg * sb, cg * cb * sa, cg * cb * ca,
+        -sg * sb, sg * cb * sa, sg * cb * ca,
+        -cb, -sb * sa, -sb * ca,
+        -r10, -r11, -r12, r00, r01, r02, 0.0, 0.0, 0.0,
+    ]
+    stacked = np.array(entries).reshape(4, 3, 3)
+    return stacked[0], stacked[1], stacked[2], stacked[3]
 
 
 def rotation_to_euler(rotation: np.ndarray) -> tuple[float, float, float]:

@@ -123,7 +123,7 @@ def calibrate(
     mpjpe_init, init_depth, inlier_ids = init
     restrict = inlier_ids if refine_cfg.inliers_only else None
     refined, _ = refine_pose(cset, hypothesis.transform, refine_cfg, restrict_to=restrict)
-    # Built again, not held: held through refinement they cost it page faults per step.
+    # Built again, not held: held through refinement they slow it down.
     blocks = cset.camera_blocks(stride=1)
     mpjpe_refined, positive_depth, _ = _evaluate(blocks, refined)
 

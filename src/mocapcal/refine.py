@@ -6,8 +6,13 @@ translation. The forward pass runs the stacked projection chain of
 :mod:`mocapcal.geometry` with one pose, the code RANSAC scoring and every
 evaluation run, so refinement and evaluation agree on which points lie in
 front of a camera. Gradients are analytic: the pixel residual is chained
-back through the intrinsics, the distortion Jacobian, the perspective
-division, and the camera and pose rotations. Updates use Adam with
+back through the intrinsics, the distortion Jacobian and the perspective
+division to one camera-frame vector per entry, the rows of ``W``. One
+``(3, 4)`` product ``W @ Q.T``, with ``Q`` the constant rows X, Y, Z and 1
+of the camera's points, gives both the moment the angle gradients
+contract with and the column sums of the translation gradient. The loss
+and that product use NumPy's pairwise and BLAS's blocked sums, not a
+sequential one. Updates use Adam with
 separate learning rates for the angle and translation blocks and a
 cosine-annealed schedule over ``steps``, which caps the run: it stops
 earlier once the best loss has reached a plateau.
@@ -27,6 +32,7 @@ import numpy as np
 
 from .errors import EmptyActiveSetError
 from .geometry import (
+    CameraModel,
     EulerPose,
     RigidTransform,
     distortion_jacobian,
@@ -138,68 +144,76 @@ def adam_step(
     return AdamState(m=m, v=v, step=step), delta
 
 
+def _homogeneous_blocks(
+    blocks: Sequence[CameraBlock],
+) -> list[tuple[CameraModel, np.ndarray, np.ndarray]]:
+    """Each block as its camera, the C-ordered ``(4, N)`` matrix ``Q`` whose
+    rows are X, Y, Z and 1, and its ``(2, N)`` pixels."""
+    lean = []
+    for block in blocks:
+        q = np.empty((4, block.entry_ids.size))
+        q[:3] = block.points3d.T
+        q[3] = 1.0
+        lean.append((block.camera, q, block.points2d.T))
+    return lean
+
+
 def _loss_and_gradient_on_blocks(
-    blocks: Sequence[CameraBlock], pose: EulerPose
+    blocks: Sequence[tuple[CameraModel, np.ndarray, np.ndarray]], pose: EulerPose
 ) -> LossReport:
-    rot, drot_a, drot_b, drot_g = rotation_zyx_derivatives(pose.alpha, pose.beta, pose.gamma)
+    rot, *drots = rotation_zyx_derivatives(pose.alpha, pose.beta, pose.gamma)
     trans = pose.translation
     loss_sum = 0.0
-    grad = np.zeros(6)
+    # The sum over cameras of R_c^T S, with S = W Q^T: its first three
+    # columns are the moment sum_m w_m p_m^T and its last the sum of w_m,
+    # both taken back to the MoCap frame.
+    pulled = np.zeros((3, 4))
     active = 0
-    for block in blocks:
-        cam = block.camera
+    for cam, q, obs in blocks:
         z, xn, yn, u, v = (
-            coord[0] for coord in project_stacked(cam, rot[None], trans[None], block.points3d.T)
+            coord[0] for coord in project_stacked(cam, rot[None], trans[None], q[:3])
         )
         front = z > 0.0
-        if not np.any(front):
+        count = int(np.count_nonzero(front))
+        if count == 0:
             continue
-        if front.all():
-            pts3 = block.points3d
-            obs = block.points2d
-        else:
-            pts3 = block.points3d[front]
-            obs = block.points2d[front]
+        if count < z.size:
+            q, obs = q[:, front], obs[:, front]
             z, xn, yn, u, v = z[front], xn[front], yn[front], u[front], v[front]
-        jac = (
-            None
-            if cam.distortion is None
-            else distortion_jacobian(cam.distortion, np.stack([xn, yn], axis=-1))
-        )
-        du = u - obs[:, 0]
-        dv = v - obs[:, 1]
-        # The loss sums a C-ordered (N, 2) stack of squares, whatever the
-        # layout of obs, so its summation order does not change.
-        res = np.stack([du, dv], axis=-1)
-        loss_sum += float((res * res).sum())
-        active += int(z.size)
+        du = np.subtract(u, obs[0], out=u)
+        dv = np.subtract(v, obs[1], out=v)
+        sq = du * du
+        sq += dv * dv
+        loss_sum += float(sq.sum())
+        active += count
 
         # Pull the residual back through intrinsics (A^T r), distortion
-        # (D^T), and perspective division (N^T) to camera-frame vectors.
+        # (D^T), and perspective division (N^T) to camera-frame vectors,
+        # the rows of W.
         pr0 = cam.fx * du
         pr1 = cam.skew * du + cam.fy * dv
-        if jac is not None:
+        if cam.distortion is not None:
+            jac = distortion_jacobian(cam.distortion, np.stack([xn, yn], axis=-1))
             pr0, pr1 = (
                 jac[:, 0, 0] * pr0 + jac[:, 1, 0] * pr1,
                 jac[:, 0, 1] * pr0 + jac[:, 1, 1] * pr1,
             )
-        cols = (pr0 / z, pr1 / z, -(xn * pr0 + yn * pr1) / z)
-        # Each column is summed entry by entry in order: the additions
-        # cr.sum(axis=0) makes as it walks the C-ordered (N, 3) stack row by
-        # row, without its per-row overhead. A pairwise sum would change the bits.
-        col_sums = np.array([np.add.accumulate(col)[-1] for col in cols])
-        grad[3:] += cam.rotation.T @ col_sums
-        cr = np.stack(cols, axis=-1)
-        # Each angle gradient is <R_c @ dR, sum_m cr_m p_m^T>; the moment
-        # matrix makes that three 3x3 contractions instead of big matmuls.
-        # Its (3, N) operand stays the F-ordered transpose: a C-ordered copy
-        # changes the product's bits.
-        moment = cr.T @ pts3
-        for axis, drot in enumerate((drot_a, drot_b, drot_g)):
-            grad[axis] += float(((cam.rotation @ drot) * moment).sum())
+        w = np.empty((3, count))
+        np.divide(pr0, z, out=w[0])
+        np.divide(pr1, z, out=w[1])
+        np.multiply(xn, w[0], out=w[2])
+        w[2] += np.multiply(yn, w[1], out=pr1)
+        np.negative(w[2], out=w[2])
+        pulled += cam.rotation.T @ (w @ q.T)
     if active == 0:
         return LossReport(loss=0.0, gradient=np.zeros(6), active_count=0)
-    return LossReport(loss=loss_sum / (2.0 * active), gradient=grad / active, active_count=active)
+    # Each angle gradient is sum_c <R_c dR, moment_c> = <dR, R_c^T moment_c>.
+    grad = np.empty(6)
+    for axis, drot in enumerate(drots):
+        grad[axis] = (drot * pulled[:, :3]).sum()
+    grad[3:] = pulled[:, 3]
+    grad /= active
+    return LossReport(loss=loss_sum / (2.0 * active), gradient=grad, active_count=active)
 
 
 def loss_and_gradient(
@@ -215,7 +229,7 @@ def loss_and_gradient(
     ``pose`` is strictly positive. An empty active set yields a zero
     loss, zero gradient, and ``active_count == 0``.
     """
-    blocks = cset.camera_blocks(stride=stride, restrict_to=restrict_to)
+    blocks = _homogeneous_blocks(cset.camera_blocks(stride=stride, restrict_to=restrict_to))
     return _loss_and_gradient_on_blocks(blocks, pose)
 
 
@@ -240,7 +254,9 @@ def refine_pose(
     """
     alpha, beta, gamma = rotation_to_euler(init.rotation)
     params = np.concatenate(([alpha, beta, gamma], init.translation))
-    blocks = cset.camera_blocks(stride=cfg.fine_stride, restrict_to=restrict_to)
+    blocks = _homogeneous_blocks(
+        cset.camera_blocks(stride=cfg.fine_stride, restrict_to=restrict_to)
+    )
 
     state = AdamState.zeros()
     trace = np.empty(cfg.steps)

@@ -91,6 +91,20 @@ class TestEulerRotations:
             np.testing.assert_allclose(dg, fd_g, atol=1e-8)
 
 
+    def test_derivatives_rotation_is_rotation_zyx_bit_for_bit(self, rng):
+        betas = np.concatenate(
+            [
+                rng.uniform(-math.pi, math.pi, 200),
+                math.pi / 2 + rng.uniform(-1e-6, 1e-6, 100),
+                -math.pi / 2 + rng.uniform(-1e-6, 1e-6, 100),
+                [math.pi / 2, -math.pi / 2],
+            ]
+        )
+        for beta in betas:
+            alpha, gamma = rng.uniform(-math.pi, math.pi, 2)
+            rot = rotation_zyx_derivatives(alpha, beta, gamma)[0]
+            assert rot.tobytes() == rotation_zyx(alpha, beta, gamma).tobytes()
+
 class TestRigidTransform:
     def test_compose_then_inverse_is_identity(self, rng):
         def compose(a, b):

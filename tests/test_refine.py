@@ -5,6 +5,7 @@ import pytest
 
 from mocapcal import (
     AdamState,
+    CameraModel,
     DistortionCoeffs,
     EmptyActiveSetError,
     EulerPose,
@@ -92,6 +93,45 @@ class TestLossAndGradient:
                 if abs(fd[k]) > 1e-8:
                     assert abs(report.gradient[k] - fd[k]) / abs(fd[k]) < 1e-4
 
+    def test_matches_finite_differences_with_full_distortion_skew_and_points_behind(self, rng):
+        # Two cameras facing each other along z, each with all five
+        # Brown-Conrady terms and a skewed K. Points lie between them, or
+        # behind one of them, well clear of either principal plane.
+        intrinsics = np.array([[900.0, 3.5, 610.0], [0.0, 950.0, 350.0], [0.0, 0.0, 1.0]])
+        cameras = [
+            CameraModel(
+                intrinsics,
+                rotation,
+                translation,
+                DistortionCoeffs(k1=k1, k2=0.05, p1=0.002, p2=-0.0015, k3=0.01),
+            )
+            for rotation, translation, k1 in (
+                (np.eye(3), np.zeros(3), -0.12),
+                (np.diag([-1.0, 1.0, -1.0]), np.array([0.0, 0.0, 4.0]), 0.08),
+            )
+        ]
+        depth = np.concatenate(
+            [rng.uniform(1.0, 3.0, 24), rng.uniform(-2.0, -1.0, 4), rng.uniform(5.0, 6.0, 4)]
+        )
+        reach = 0.3 * np.minimum(np.abs(depth), np.abs(4.0 - depth))[:, None]
+        points = np.column_stack([rng.uniform(-1.0, 1.0, (depth.size, 2)) * reach, depth])
+        truth = EulerPose(0.01, -0.02, 0.015, np.array([0.01, -0.02, 0.03]))
+        rows = []
+        for c, cam in enumerate(cameras):
+            pixels, depths = project_points(cam, truth.to_transform(), points)
+            pixels[depths <= 0.0] = (640.0, 360.0)
+            pixels += rng.normal(0.0, 2.0, pixels.shape)
+            rows += [(c, j, 0, p3, p2, True) for j, (p3, p2) in enumerate(zip(points, pixels))]
+        cset = make_set(cameras, rows, dims=(2, depth.size, 1))
+        for _ in range(5):
+            pose = EulerPose(*rng.uniform(-0.03, 0.03, 3), rng.uniform(-0.03, 0.03, 3))
+            report = loss_and_gradient(cset, pose)
+            # Each camera sees 28 of the 32 points; the other 4 lie behind it.
+            assert report.active_count == 2 * 28
+            fd = finite_difference_gradient(cset, pose)
+            for k in range(6):
+                assert abs(report.gradient[k] - fd[k]) <= 1e-4 * abs(fd[k]) + 1e-8
+
     def test_behind_camera_observation_is_ignored(self):
         cam = basic_camera()
         front = (0, 0, 0, (0.0, 0.0, 2.0), (640.0, 360.0), True)
@@ -139,14 +179,18 @@ class TestLossAndGradient:
         assert strided.active_count == restricted.active_count
 
 
-def stacked_loss_and_gradient(blocks, pose):
-    """The loss and gradient as formed before the column sums ran per column.
+def lean_loss_and_gradient(blocks, pose):
+    """The loss and gradient in the operation order of the lean pass.
 
-    The residual is a stacked (N, 2) array and the camera-frame vectors a
-    stacked (N, 3) array summed with ``sum(axis=0)``.
+    Per camera block: the squares ``du**2 + dv**2`` summed pairwise, the
+    rows ``pr0 / z``, ``pr1 / z`` and ``-(xn * w0 + yn * w1)`` of W, and one
+    product ``W @ Q.T`` with Q the rows X, Y, Z and 1. ``R_c.T`` takes each
+    product back to the MoCap frame and the cameras are summed. The first
+    three columns of that sum contract with each ``dR``, its last is the
+    translation gradient.
     """
     rot, drot_a, drot_b, drot_g = rotation_zyx_derivatives(pose.alpha, pose.beta, pose.gamma)
-    loss_sum, grad, active = 0.0, np.zeros(6), 0
+    loss_sum, pulled, active = 0.0, np.zeros((3, 4)), 0
     for block in blocks:
         cam = block.camera
         z, xn, yn, u, v = (
@@ -160,24 +204,25 @@ def stacked_loss_and_gradient(blocks, pose):
         if not front.all():
             pts3, obs = pts3[front], obs[front]
             z, xn, yn, u, v = z[front], xn[front], yn[front], u[front], v[front]
-        res = np.stack([u - obs[:, 0], v - obs[:, 1]], axis=-1)
-        loss_sum += float((res * res).sum())
+        du, dv = u - obs[:, 0], v - obs[:, 1]
+        loss_sum += float((du * du + dv * dv).sum())
         active += int(z.size)
-        pr0 = cam.fx * res[:, 0]
-        pr1 = cam.skew * res[:, 0] + cam.fy * res[:, 1]
+        pr0 = cam.fx * du
+        pr1 = cam.skew * du + cam.fy * dv
         if cam.distortion is not None:
             jac = distortion_jacobian(cam.distortion, np.stack([xn, yn], axis=-1))
             pr0, pr1 = (
                 jac[:, 0, 0] * pr0 + jac[:, 1, 0] * pr1,
                 jac[:, 0, 1] * pr0 + jac[:, 1, 1] * pr1,
             )
-        cr = np.stack([pr0 / z, pr1 / z, -(xn * pr0 + yn * pr1) / z], axis=-1)
-        grad[3:] += cam.rotation.T @ cr.sum(axis=0)
-        moment = cr.T @ pts3
-        for axis, drot in enumerate((drot_a, drot_b, drot_g)):
-            grad[axis] += float(((cam.rotation @ drot) * moment).sum())
+        w0, w1 = pr0 / z, pr1 / z
+        w = np.stack([w0, w1, -(xn * w0 + yn * w1)])
+        q = np.vstack([pts3.T, np.ones(z.size)])
+        pulled += cam.rotation.T @ (w @ q.T)
     if active == 0:
         return 0.0, np.zeros(6), 0
+    moment = pulled[:, :3]
+    grad = np.concatenate([[(d * moment).sum() for d in (drot_a, drot_b, drot_g)], pulled[:, 3]])
     return loss_sum / (2.0 * active), grad / active, active
 
 
@@ -188,10 +233,14 @@ def perturbed_poses(transform, rng, count=4):
     return [EulerPose.from_vector(base + scale * rng.normal(size=6)) for _ in range(count)]
 
 
+def lean_pass(blocks, pose):
+    return refine._loss_and_gradient_on_blocks(refine._homogeneous_blocks(blocks), pose)
+
+
 def assert_same_bits(blocks, poses):
     for pose in poses:
-        got = refine._loss_and_gradient_on_blocks(blocks, pose)
-        loss, grad, active = stacked_loss_and_gradient(blocks, pose)
+        got = lean_pass(blocks, pose)
+        loss, grad, active = lean_loss_and_gradient(blocks, pose)
         assert got.loss == loss
         assert got.gradient.tobytes() == grad.tobytes()
         assert got.active_count == active
@@ -229,9 +278,7 @@ class TestSameBitsAsStackedFormula:
         rows = [(0, j, 0, p3, p2, True) for j, (p3, p2) in enumerate(zip(pts3, pix))]
         blocks = make_set([cam], rows, dims=(1, 40, 1)).camera_blocks()
         poses = perturbed_poses(RigidTransform.identity(), rng)
-        assert all(
-            0 < refine._loss_and_gradient_on_blocks(blocks, pose).active_count < 40 for pose in poses
-        )
+        assert all(0 < lean_pass(blocks, pose).active_count < 40 for pose in poses)
         assert_same_bits(blocks, poses)
 
     def test_one_entry_block(self, rng):
@@ -332,6 +379,17 @@ class TestRefinePose:
         init_pose = EulerPose(*rotation_to_euler(init.rotation), init.translation)
         init_loss = loss_and_gradient(session.correspondences, init_pose).loss
         assert trace.min() <= init_loss + 1e-15
+
+    def test_first_trace_entry_is_the_loss_at_the_start(self):
+        session = generate(SynthConfig(n_cameras=2, n_joints=10, n_frames=30, noise_sigma=2.0, seed=8))
+        cset, gt = session.correspondences, session.gt_extrinsic
+        init = RigidTransform(gt.rotation, gt.translation + np.array([0.1, 0.0, -0.05]))
+        subset = np.flatnonzero(cset.joint_indices % 3 != 0)
+        cfg = RefineConfig(steps=5, fine_stride=2)
+        _, trace = refine_pose(cset, init, cfg, restrict_to=subset)
+        start = EulerPose(*rotation_to_euler(init.rotation), init.translation)
+        loss = loss_and_gradient(cset, start, stride=2, restrict_to=subset).loss
+        assert trace[0].tobytes() == np.float64(loss).tobytes()
 
     def test_all_behind_camera_raises(self):
         cam = basic_camera()
@@ -447,8 +505,8 @@ def near_plane_set():
     camera = basic_camera(
         rotation=random_rotation_matrix(rng), translation=np.array([0.4, -0.3, 2.5])
     )
-    # With alpha = beta = 0 the refinement's rotation (a product of three
-    # axis rotations) is bit-equal to the closed form in to_transform().
+    # The refinement's rotation is bit-equal to the closed form in
+    # to_transform(), as it is for any angles.
     pose = EulerPose(0.0, 0.0, 0.7, np.array([0.3, -0.2, 0.5]))
     transform = pose.to_transform()
     assert np.array_equal(transform.rotation, rotation_zyx_derivatives(0.0, 0.0, 0.7)[0])
