@@ -205,22 +205,9 @@ class EulerPose:
         return RigidTransform(rotation_zyx(self.alpha, self.beta, self.gamma), self.translation)
 
 
-def _zyx_rows(alpha: float, beta: float, gamma: float) -> tuple[list, tuple]:
-    """Entries of ``Rz(gamma) @ Ry(beta) @ Rx(alpha)`` and the angles' cosines and sines."""
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    rows = [
-        [cg * cb, cg * sb * sa - sg * ca, cg * sb * ca + sg * sa],
-        [sg * cb, sg * sb * sa + cg * ca, sg * sb * ca - cg * sa],
-        [-sb, cb * sa, cb * ca],
-    ]
-    return rows, (ca, sa, cb, sb, cg, sg)
-
-
 def rotation_zyx(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Build ``Rz(gamma) @ Ry(beta) @ Rx(alpha)`` directly."""
-    return np.array(_zyx_rows(alpha, beta, gamma)[0])
+    """Build ``Rz(gamma) @ Ry(beta) @ Rx(alpha)`` in closed form."""
+    return rotation_zyx_derivatives(alpha, beta, gamma)[0].copy()
 
 
 def rotation_zyx_derivatives(
@@ -228,11 +215,15 @@ def rotation_zyx_derivatives(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Return ``R`` and its partial derivatives w.r.t. each angle.
 
-    All four are closed forms in the same sines and cosines, and ``R`` is
-    bit for bit :func:`rotation_zyx`.
+    All four are closed forms in the angles' sines and cosines, and
+    :func:`rotation_zyx` returns this ``R``.
     """
-    rows, (ca, sa, cb, sb, cg, sg) = _zyx_rows(alpha, beta, gamma)
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    r00, r01, r02 = cg * cb, cg * sb * sa - sg * ca, cg * sb * ca + sg * sa
+    r10, r11, r12 = sg * cb, sg * sb * sa + cg * ca, sg * sb * ca - cg * sa
+    r20, r21, r22 = -sb, cb * sa, cb * ca
     # One flat list: NumPy builds it several times faster than nested ones.
     # dR/dalpha = R [e_x]x has columns 0, R[:, 2], -R[:, 1], and
     # dR/dgamma = [e_z]x R has rows -R[1], R[0], 0.

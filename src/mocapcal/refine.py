@@ -147,8 +147,8 @@ def adam_step(
 def _homogeneous_blocks(
     blocks: Sequence[CameraBlock],
 ) -> list[tuple[CameraModel, np.ndarray, np.ndarray]]:
-    """Each block as its camera, the C-ordered ``(4, N)`` matrix ``Q`` whose
-    rows are X, Y, Z and 1, and its ``(2, N)`` pixels."""
+    """Each block as its camera, its points as the C-ordered ``(4, N)``
+    matrix ``Q`` with rows X, Y, Z and 1, and its ``(2, N)`` pixels."""
     lean = []
     for block in blocks:
         q = np.empty((4, block.entry_ids.size))
