@@ -90,7 +90,6 @@ class TestEulerRotations:
             np.testing.assert_allclose(db, fd_b, atol=1e-8)
             np.testing.assert_allclose(dg, fd_g, atol=1e-8)
 
-
     def test_derivatives_rotation_is_rotation_zyx_bit_for_bit(self, rng):
         betas = np.concatenate(
             [
@@ -104,6 +103,7 @@ class TestEulerRotations:
             alpha, gamma = rng.uniform(-math.pi, math.pi, 2)
             rot = rotation_zyx_derivatives(alpha, beta, gamma)[0]
             assert rot.tobytes() == rotation_zyx(alpha, beta, gamma).tobytes()
+
 
 class TestRigidTransform:
     def test_compose_then_inverse_is_identity(self, rng):
