@@ -21,9 +21,10 @@ Sessions:
 session name. ``--against FILE`` compares the reports with such a dump and
 prints each field that differs (dotted path, list items folded into their
 list) with the number of sessions it differs in and its largest absolute
-and relative difference, or ``identical``. A dump written with
-``PYTHONPATH`` pointing at another checkout's ``src/`` shows what a change
-moved in the reports.
+and relative difference, a field one side lacks as ``only in this run``
+or ``only in reference`` with its session count, or ``identical``. A
+dump written with ``PYTHONPATH`` pointing at another checkout's ``src/``
+shows what a change moved in the reports.
 
 Usage:
     PYTHONPATH=src python3 scripts/report_digest.py [--dump FILE] [--against FILE]
@@ -109,27 +110,37 @@ def flatten(value, path=""):
 def compare(docs: dict, reference: dict) -> list[str]:
     """One line per differing field: sessions, largest absolute and relative difference.
 
-    A value that is missing on one side or is not a number on both counts
-    as an infinite difference.
+    A field present on one side only is listed as ``only in this run`` or
+    ``only in reference``. A value that is not a number on both sides
+    counts as an infinite difference.
     """
-    fields = {}
+    fields, one_sided = {}, {}
     for name in sorted(set(docs) | set(reference)):
         ours, theirs = flatten(docs.get(name, {})), flatten(reference.get(name, {}))
         for path in ours.keys() | theirs.keys():
-            a, b = ours.get(path), theirs.get(path)
+            field_path = re.sub(r"\[\d+\]", "", path)
+            if path not in theirs or path not in ours:
+                side = "only in this run" if path in ours else "only in reference"
+                one_sided.setdefault((field_path, side), set()).add(name)
+                continue
+            a, b = ours[path], theirs[path]
             if type(a) is type(b) and (a == b or a != a and b != b):
                 continue
-            field = fields.setdefault(re.sub(r"\[\d+\]", "", path), [set(), 0.0, 0.0])
+            field = fields.setdefault(field_path, [set(), 0.0, 0.0])
             field[0].add(name)
             numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
             diff = abs(a - b) if numbers else math.inf
             scale = max(abs(a), abs(b)) if numbers else 1.0
             field[1] = max(field[1], diff)
             field[2] = max(field[2], diff / scale if diff else 0.0)
-    return [
-        f"{path:<24} sessions {len(names):>3}  max_abs {max_abs:.3e}  max_rel {max_rel:.3e}"
-        for path, (names, max_abs, max_rel) in sorted(fields.items())
+    lines = [
+        (path, f"sessions {len(names):>3}  max_abs {max_abs:.3e}  max_rel {max_rel:.3e}")
+        for path, (names, max_abs, max_rel) in fields.items()
     ]
+    lines += [
+        (path, f"sessions {len(names):>3}  {side}") for (path, side), names in one_sided.items()
+    ]
+    return [f"{path:<24} {text}" for path, text in sorted(lines)]
 
 
 def main():

@@ -42,6 +42,11 @@ ROTATION_TOL = 1e-9
 # point that counts as converged.
 UNDISTORT_RESIDUAL_TOL = 1e-9
 
+# Newton steps undistortion takes at most per point, and the step, in
+# normalized coordinates, below which a point stops.
+UNDISTORT_ITERATIONS = 10
+UNDISTORT_STEP_TOL = 1e-10
+
 
 def _as_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     """Read-only float64 copy of ``value``, checked for shape and finiteness."""
@@ -309,79 +314,76 @@ def distort_normalized(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray:
     return np.stack(_distort(coeffs, flat[:, 0], flat[:, 1]), axis=-1).reshape(xy.shape)
 
 
-def undistort_normalized(
-    coeffs: DistortionCoeffs,
-    xy: np.ndarray,
-    iterations: int = 10,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def undistort_normalized(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray:
     """Invert :func:`distort_normalized` by Newton's method, point by point.
 
-    Starts from the distorted point and takes Newton steps with
-    :func:`distortion_jacobian`, solving each 2x2 system in closed form.
-    Each point stops on its own once its step falls below ``tol`` in both
-    coordinates, or after ``iterations`` steps, so its result never depends
-    on the other points in ``xy``. A point whose step comes out non-finite
-    (a singular Jacobian) keeps its last finite iterate. A point whose
-    result, distorted again, misses its input by more than
-    ``UNDISTORT_RESIDUAL_TOL`` in either coordinate did not converge (its
-    pixel lies where the model cannot be inverted) and comes back as NaN.
-    So does a root on a folded branch of the model, where the radial factor
-    ``1 + k1 r^2 + k2 r^4 + k3 r^6`` or the Jacobian determinant is not
-    positive: barrel distortion maps such a point across the optical axis
-    from its pixel, and its pixel lies past the peak radius, where no
-    unfolded root exists.
+    Starts from the distorted point and takes Newton steps with the
+    distortion Jacobian, solving each 2x2 system in closed form. Each point
+    stops on its own once its step falls below ``UNDISTORT_STEP_TOL`` in
+    both coordinates, or after ``UNDISTORT_ITERATIONS`` steps, so its
+    result never depends on the other points in ``xy``. A point whose step
+    comes out non-finite (a singular Jacobian) keeps its last finite
+    iterate. A point whose result, distorted again, misses its input by
+    more than ``UNDISTORT_RESIDUAL_TOL`` in either coordinate did not
+    converge (its pixel lies where the model cannot be inverted) and comes
+    back as NaN. So does a root on a folded branch of the model, where the
+    radial factor ``1 + k1 r^2 + k2 r^4 + k3 r^6`` or the Jacobian
+    determinant is not positive: barrel distortion maps such a point across
+    the optical axis from its pixel, and its pixel lies past the peak
+    radius, where no unfolded root exists.
     """
     distorted = np.asarray(xy, dtype=np.float64)
     target = distorted.reshape(-1, 2)
     current = target.copy()
     active = np.arange(current.shape[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(iterations):
+        for _ in range(UNDISTORT_ITERATIONS):
             if active.size == 0:
                 break
-            pts = current[active]
-            x, y = pts[:, 0], pts[:, 1]
+            x, y = current[active, 0], current[active, 1]
             xd, yd = _distort(coeffs, x, y)
             rx = xd - target[active, 0]
             ry = yd - target[active, 1]
-            jac = distortion_jacobian(coeffs, pts)
-            a, b = jac[:, 0, 0], jac[:, 0, 1]
-            c, d = jac[:, 1, 0], jac[:, 1, 1]
-            det = a * d - b * c
-            dx = (d * rx - b * ry) / det
-            dy = (a * ry - c * rx) / det
+            _, jxx, jxy, jyy = _distortion_terms(coeffs, x, y)
+            det = jxx * jyy - jxy * jxy
+            dx = (jyy * rx - jxy * ry) / det
+            dy = (jxx * ry - jxy * rx) / det
             nx, ny = x - dx, y - dy
             finite = np.isfinite(nx) & np.isfinite(ny)
             current[active[finite], 0] = nx[finite]
             current[active[finite], 1] = ny[finite]
-            moving = finite & ~((np.abs(dx) < tol) & (np.abs(dy) < tol))
-            active = active[moving]
+            settled = np.maximum(np.abs(dx), np.abs(dy)) < UNDISTORT_STEP_TOL
+            active = active[finite & ~settled]
         x, y = current[:, 0], current[:, 1]
         xd, yd = _distort(coeffs, x, y)
         miss = np.maximum(np.abs(xd - target[:, 0]), np.abs(yd - target[:, 1]))
-        r2 = x * x + y * y
-        radial = 1.0 + r2 * (coeffs.k1 + r2 * (coeffs.k2 + r2 * coeffs.k3))
-        jac = distortion_jacobian(coeffs, current)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        unfolded = (radial > 0.0) & (det > 0.0)
+        radial, jxx, jxy, jyy = _distortion_terms(coeffs, x, y)
+        unfolded = (radial > 0.0) & (jxx * jyy - jxy * jxy > 0.0)
         current[~((miss <= UNDISTORT_RESIDUAL_TOL) & unfolded)] = np.nan
     return current.reshape(distorted.shape)
+
+
+def _distortion_terms(coeffs: DistortionCoeffs, x: np.ndarray, y: np.ndarray):
+    """Radial factor and the distinct Jacobian entries ``jxx``, ``jxy``, ``jyy``.
+
+    The Jacobian of the distortion map at ``(x, y)`` is symmetric, so these
+    three terms are all of it.
+    """
+    k1, k2, p1, p2, k3 = coeffs.as_tuple()
+    r2 = x * x + y * y
+    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    dradial = k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2)
+    jxx = radial + 2.0 * x * x * dradial + 2.0 * p1 * y + 6.0 * p2 * x
+    jxy = 2.0 * x * y * dradial + 2.0 * p1 * x + 2.0 * p2 * y
+    jyy = radial + 2.0 * y * y * dradial + 6.0 * p1 * y + 2.0 * p2 * x
+    return radial, jxx, jxy, jyy
 
 
 def distortion_jacobian(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray:
     """Jacobian of the distortion map at ``xy``, shape ``(..., 2, 2)``."""
     xy = np.asarray(xy, dtype=np.float64)
-    x, y = xy[..., 0], xy[..., 1]
-    r2 = x * x + y * y
-    radial = 1.0 + r2 * (coeffs.k1 + r2 * (coeffs.k2 + r2 * coeffs.k3))
-    dradial = coeffs.k1 + r2 * (2.0 * coeffs.k2 + 3.0 * coeffs.k3 * r2)
-    jac = np.empty(xy.shape[:-1] + (2, 2))
-    jac[..., 0, 0] = radial + 2.0 * x * x * dradial + 2.0 * coeffs.p1 * y + 6.0 * coeffs.p2 * x
-    jac[..., 0, 1] = 2.0 * x * y * dradial + 2.0 * coeffs.p1 * x + 2.0 * coeffs.p2 * y
-    jac[..., 1, 0] = jac[..., 0, 1]
-    jac[..., 1, 1] = radial + 2.0 * y * y * dradial + 6.0 * coeffs.p1 * y + 2.0 * coeffs.p2 * x
-    return jac
+    _, jxx, jxy, jyy = _distortion_terms(coeffs, xy[..., 0], xy[..., 1])
+    return np.stack([jxx, jxy, jxy, jyy], axis=-1).reshape(xy.shape[:-1] + (2, 2))
 
 
 def pixel_bearings(camera: CameraModel, pixels: np.ndarray) -> np.ndarray:

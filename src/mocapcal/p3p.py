@@ -708,7 +708,7 @@ def recover_mocap_poses(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`recover_mocap_pose` for a stack of (S, 3, 3) rotations and (S, 3) translations.
 
-    One stacked product per term, bit for bit the per-pose result.
+    One stacked product per term.
     """
     rot_t = camera.rotation.T
     return rot_t @ rotations, (rot_t @ (translations - camera.translation)[:, :, None])[:, :, 0]
@@ -719,8 +719,10 @@ def recover_mocap_pose(cam_from_points: RigidTransform, camera: CameraModel) -> 
 
     If the camera maps world points via (R_c, t_c) and the solver found
     the camera-from-points pose (R, t), the points' frame sits in the
-    world at R_m = R_c^T R and t_m = R_c^T (t - t_c).
+    world at R_m = R_c^T R and t_m = R_c^T (t - t_c). This is
+    :func:`recover_mocap_poses` for one pose.
     """
-    rot = camera.rotation.T @ cam_from_points.rotation
-    trans = camera.rotation.T @ (cam_from_points.translation - camera.translation)
-    return RigidTransform(rotation=rot, translation=trans)
+    rot, trans = recover_mocap_poses(
+        cam_from_points.rotation[None], cam_from_points.translation[None], camera
+    )
+    return RigidTransform(rotation=rot[0], translation=trans[0])

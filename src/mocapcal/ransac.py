@@ -232,7 +232,7 @@ def _score_blocks(
     translations: np.ndarray,
     tau: float,
     bound: int = 0,
-) -> tuple[list[int], list[Optional[float]], list[np.ndarray]]:
+) -> tuple[list[int], list[Optional[float]]]:
     """Inlier counts of H poses, and the mean inlier residual of those reaching ``bound``.
 
     Scores the H poses ``rotations`` (H, 3, 3) and ``translations`` (H, 3)
@@ -247,16 +247,14 @@ def _score_blocks(
 
     Returns per pose its inlier count (a dropped pose's count so far) and
     its mean inlier residual, or ``None`` for a pose that was dropped or
-    ends below ``bound``; and per block the inlier mask of the poses that
-    get a mean, in pose order, which with ``bound`` 0 is every pose. A
-    mean adds each block's kept residuals, in storage order, then the
-    block sums in block order, so it depends neither on the other poses
-    scored with it nor on the segments. That holds as long as the BLAS
-    product of the stacked projection gives each entry the same bits
-    whatever the number of poses and entries it is computed for, which
-    the tests check on the machine they run on. A one-entry product,
-    which numpy computes as a matrix-vector product, does not, so no
-    one-entry segment is split off a longer block.
+    ends below ``bound``. A mean adds each block's kept residuals, in
+    storage order, then the block sums in block order, so it depends
+    neither on the other poses scored with it nor on the segments. That
+    holds as long as the BLAS product of the stacked projection gives each
+    entry the same bits whatever the number of poses and entries it is
+    computed for, which the tests check on the machine they run on. A
+    one-entry product, which numpy computes as a matrix-vector product,
+    does not, so no one-entry segment is split off a longer block.
     """
     counts = np.zeros(rotations.shape[0], dtype=np.int64)
     live = np.arange(rotations.shape[0])
@@ -287,19 +285,17 @@ def _score_blocks(
     totals = counts.tolist()
     means: list[Optional[float]] = [None] * len(totals)
     if not live.size:
-        return totals, means, [np.zeros((0, block.entry_ids.size), dtype=bool) for block in blocks]
+        return totals, means
     sums = [0.0] * live.size
-    masks = []
     for segments in scans:
         rows = [np.searchsorted(scanned, live) for scanned, _, _ in segments]
         norms = np.concatenate([n[r] for r, (_, n, _) in zip(rows, segments)], axis=1)
         keep = np.concatenate([k[r] for r, (_, _, k) in zip(rows, segments)], axis=1)
-        masks.append(keep)
         for i in range(live.size):
             sums[i] += float(norms[i][keep[i]].sum())
     for res_sum, h in zip(sums, live.tolist()):
         means[h] = res_sum / totals[h] if totals[h] else 0.0
-    return totals, means, masks
+    return totals, means
 
 
 def count_inliers(
@@ -309,16 +305,23 @@ def count_inliers(
     stride: int = 1,
     restrict_to: Optional[np.ndarray] = None,
 ) -> InlierCount:
-    """Inliers of ``transform`` among valid entries at a frame stride."""
+    """Inliers of ``transform`` among valid entries at a frame stride.
+
+    The mean adds each block's inlier residuals, in storage order, then the
+    block sums in block order, as :func:`run_ransac`'s scoring does; it is
+    0.0 when there is no inlier.
+    """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    blocks = cset.camera_blocks(stride=stride, restrict_to=restrict_to)
-    _, means, keep_per_block = _score_blocks(
-        blocks, transform.rotation[None], transform.translation[None], tau
-    )
-    id_chunks = [block.entry_ids[keep[0]] for block, keep in zip(blocks, keep_per_block)]
+    rotations, translations = transform.rotation[None], transform.translation[None]
+    id_chunks = []
+    res_sum = 0.0
+    for block in cset.camera_blocks(stride=stride, restrict_to=restrict_to):
+        norms, _, keep = _evaluate_block(block, rotations, translations, tau)
+        id_chunks.append(block.entry_ids[keep[0]])
+        res_sum += float(norms[0][keep[0]].sum())
     ids = np.sort(np.concatenate(id_chunks)) if id_chunks else np.empty(0, dtype=np.int64)
-    return InlierCount(ids=ids, mean_residual=means[0])
+    return InlierCount(ids=ids, mean_residual=res_sum / ids.size if ids.size else 0.0)
 
 
 @dataclass(frozen=True)
@@ -358,21 +361,17 @@ class Hypothesis:
     source: tuple[int, int]
 
 
-def _sample_groups(cset: CorrespondenceSet) -> list[tuple[int, np.ndarray]]:
+def _sample_groups(cset: CorrespondenceSet) -> list[np.ndarray]:
     """Entry-id groups per (camera, frame) pair with at least three joints."""
     valid_ids = np.flatnonzero(cset.valid)
-    if valid_ids.size == 0:
-        return []
-    n_frames = cset.dims[2]
-    keys = cset.cam_indices[valid_ids] * n_frames + cset.frame_indices[valid_ids]
+    keys = cset.cam_indices[valid_ids] * cset.dims[2] + cset.frame_indices[valid_ids]
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq, starts, counts = np.unique(sorted_keys, return_index=True, return_counts=True)
-    groups = []
-    for key, start, count in zip(uniq, starts, counts):
-        if count >= 3:
-            groups.append((int(key), valid_ids[order[start : start + count]]))
-    return groups
+    _, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    return [
+        valid_ids[order[start : start + count]]
+        for start, count in zip(starts, counts)
+        if count >= 3
+    ]
 
 
 # Candidate ordering: more inliers, then lower mean residual. Stored as a
@@ -393,7 +392,7 @@ def _entry_bearings(cset: CorrespondenceSet) -> np.ndarray:
 
 def _sample_chunk(
     cset: CorrespondenceSet,
-    groups: list[tuple[int, np.ndarray]],
+    groups: list[np.ndarray],
     bearings: np.ndarray,
     seed: int,
     start: int,
@@ -411,7 +410,7 @@ def _sample_chunk(
     ids = np.empty((stop - start, 3), dtype=np.int64)
     for row, k in enumerate(range(start, stop)):
         rng = np.random.default_rng((seed, k))
-        _, group_ids = groups[int(rng.integers(len(groups)))]
+        group_ids = groups[int(rng.integers(len(groups)))]
         ids[row] = group_ids[rng.choice(group_ids.size, size=3, replace=False)]
     batch = solve_p3p_batch(cset.points3d[ids], bearings[ids])
     counts = batch.counts
@@ -477,7 +476,7 @@ def run_ransac(
             if lo == hi:
                 continue
             bound = 0 if best is None else -best[0][0]
-            totals, means, _ = _score_blocks(blocks, rots[lo:hi], transs[lo:hi], cfg.tau, bound)
+            totals, means = _score_blocks(blocks, rots[lo:hi], transs[lo:hi], cfg.tau, bound)
             sources = zip(iters[lo:hi].tolist(), sols[lo:hi].tolist())
             for j, (k, l), total, mean in zip(range(lo, hi), sources, totals, means):
                 if mean is None:

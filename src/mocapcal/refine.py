@@ -12,10 +12,11 @@ division to one camera-frame vector per entry, the rows of ``W``. One
 of the camera's points, gives both the moment the angle gradients
 contract with and the column sums of the translation gradient. The loss
 and that product use NumPy's pairwise and BLAS's blocked sums, not a
-sequential one. Updates use Adam with
-separate learning rates for the angle and translation blocks and a
-cosine-annealed schedule over ``steps``, which caps the run: it stops
-earlier once the best loss has reached a plateau.
+sequential one. Updates use Adam with the standard decay rates and
+guard, separate learning rates for the angle and translation blocks, and
+a cosine-annealed schedule over ``steps`` that ends at 1 % of each rate.
+``steps`` caps the run: it stops earlier once the best loss has reached
+a plateau.
 
 Only strictly positive-depth entries contribute; the active-set size
 therefore varies with the pose, and the loss is always an average over
@@ -35,7 +36,7 @@ from .geometry import (
     CameraModel,
     EulerPose,
     RigidTransform,
-    distortion_jacobian,
+    _distortion_terms,
     project_stacked,
     rotation_to_euler,
     rotation_zyx_derivatives,
@@ -47,41 +48,41 @@ from .ransac import CameraBlock, CorrespondenceSet
 _PLATEAU_RTOL = 1e-12
 _PLATEAU_STEPS = 50
 
+# Adam's decay rates and denominator guard, the standard values of Kingma
+# and Ba ("Adam", ICLR 2015).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
+
+# Fraction of each initial learning rate the cosine schedule ends at.
+_COSINE_FLOOR = 0.01
+
 
 @dataclass(frozen=True)
 class RefineConfig:
     """Settings for the refinement stage.
 
     ``steps`` caps the number of Adam steps and sets the length of the
-    cosine schedule. ``fine_stride`` subsamples frames during optimization;
-    ``inliers_only`` restricts the active set to the RANSAC inliers when
-    the caller provides them. ``cosine_floor`` is the fraction of the
-    initial learning rate kept at the end of the schedule.
+    cosine schedule. ``lr_rotation`` and ``lr_translation`` are the
+    initial learning rates of the angle and translation blocks.
+    ``fine_stride`` subsamples frames during optimization; ``inliers_only``
+    restricts the active set to the RANSAC inliers when the caller
+    provides them.
     """
 
     steps: int = 2000
     lr_rotation: float = 1e-3
     lr_translation: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     fine_stride: int = 2
     inliers_only: bool = True
-    cosine_floor: float = 0.01
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.lr_rotation <= 0.0 or self.lr_translation <= 0.0:
             raise ValueError("learning rates must be positive")
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise ValueError("betas must lie in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
         if self.fine_stride < 1:
             raise ValueError("fine_stride must be >= 1")
-        if not 0.0 <= self.cosine_floor <= 1.0:
-            raise ValueError("cosine_floor must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +103,8 @@ class AdamState:
     step: int
 
     @staticmethod
-    def zeros(size: int = 6) -> "AdamState":
-        return AdamState(m=np.zeros(size), v=np.zeros(size), step=0)
+    def zeros() -> "AdamState":
+        return AdamState(m=np.zeros(6), v=np.zeros(6), step=0)
 
 
 def cosine_lr(step: int, total: int, lr0: float, floor_frac: float = 0.0) -> float:
@@ -123,24 +124,22 @@ def adam_step(
     gradient: np.ndarray,
     lr_rotation: float,
     lr_translation: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
 ) -> tuple[AdamState, np.ndarray]:
     """One bias-corrected Adam update; returns (new state, delta).
 
     The delta is the signed step to add to the parameter vector. The
     first three components use ``lr_rotation``, the last three
-    ``lr_translation``.
+    ``lr_translation``. The decay rates are 0.9 and 0.999 and the
+    denominator guard 1e-8.
     """
     grad = np.asarray(gradient, dtype=np.float64)
     step = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
+    m = _BETA1 * state.m + (1.0 - _BETA1) * grad
+    v = _BETA2 * state.v + (1.0 - _BETA2) * grad * grad
+    m_hat = m / (1.0 - _BETA1**step)
+    v_hat = v / (1.0 - _BETA2**step)
     lrs = np.array([lr_rotation] * 3 + [lr_translation] * 3)
-    delta = -lrs * m_hat / (np.sqrt(v_hat) + epsilon)
+    delta = -lrs * m_hat / (np.sqrt(v_hat) + _EPSILON)
     return AdamState(m=m, v=v, step=step), delta
 
 
@@ -193,11 +192,8 @@ def _loss_and_gradient_on_blocks(
         pr0 = cam.fx * du
         pr1 = cam.skew * du + cam.fy * dv
         if cam.distortion is not None:
-            jac = distortion_jacobian(cam.distortion, np.stack([xn, yn], axis=-1))
-            pr0, pr1 = (
-                jac[:, 0, 0] * pr0 + jac[:, 1, 0] * pr1,
-                jac[:, 0, 1] * pr0 + jac[:, 1, 1] * pr1,
-            )
+            _, jxx, jxy, jyy = _distortion_terms(cam.distortion, xn, yn)
+            pr0, pr1 = jxx * pr0 + jxy * pr1, jxy * pr0 + jyy * pr1
         w = np.empty((3, count))
         np.divide(pr0, z, out=w[0])
         np.divide(pr1, z, out=w[1])
@@ -277,17 +273,9 @@ def refine_pose(
             anchor_loss, anchor_step = best_loss, step
         elif step - anchor_step >= _PLATEAU_STEPS:
             break
-        lr_rot = cosine_lr(step, cfg.steps, cfg.lr_rotation, cfg.cosine_floor)
-        lr_trans = cosine_lr(step, cfg.steps, cfg.lr_translation, cfg.cosine_floor)
-        state, delta = adam_step(
-            state,
-            report.gradient,
-            lr_rot,
-            lr_trans,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            epsilon=cfg.epsilon,
-        )
+        lr_rot = cosine_lr(step, cfg.steps, cfg.lr_rotation, _COSINE_FLOOR)
+        lr_trans = cosine_lr(step, cfg.steps, cfg.lr_translation, _COSINE_FLOOR)
+        state, delta = adam_step(state, report.gradient, lr_rot, lr_trans)
         params = params + delta
     best = EulerPose.from_vector(best_params)
     return best.to_transform(), trace[: step + 1]

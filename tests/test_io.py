@@ -216,6 +216,30 @@ class TestReportRoundTrip:
         rebuilt = report_from_dict(report_to_dict(report))
         assert report_to_dict(rebuilt) == report_to_dict(report)
 
+    def test_report_with_retired_refine_settings_loads(self, tmp_path):
+        # Earlier versions echoed Adam's betas and epsilon and the cosine
+        # floor as refine settings, in this key order.
+        doc = report_to_dict(make_report())
+        refine = doc["config"]["refine"]
+        doc["config"]["refine"] = {
+            "steps": refine["steps"],
+            "lr_rotation": refine["lr_rotation"],
+            "lr_translation": refine["lr_translation"],
+            "beta1": 0.9,
+            "beta2": 0.999,
+            "epsilon": 1e-8,
+            "fine_stride": refine["fine_stride"],
+            "inliers_only": refine["inliers_only"],
+            "cosine_floor": 0.01,
+        }
+        want = copy.deepcopy(doc["config"])
+        path = str(tmp_path / "old.json")
+        write_doc(doc, path)
+        for report in (report_from_dict(doc), load_report(path)):
+            assert report.config_echo == want
+            assert list(report.config_echo["refine"].items()) == list(want["refine"].items())
+            assert report_to_dict(report) == doc
+
     def test_unsupported_report_version(self, tmp_path):
         from mocapcal import UnsupportedVersionError
 

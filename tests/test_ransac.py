@@ -220,7 +220,9 @@ class TestCountInliers:
     def test_empty_restrict_to_selects_nothing(self, clean_session, dtype):
         cset, gt = clean_session.correspondences, clean_session.gt_extrinsic
         assert not cset.selection_mask(restrict_to=np.empty(0, dtype=dtype)).any()
-        assert len(count_inliers(cset, gt, tau=1.0, restrict_to=[]).ids) == 0
+        nothing = count_inliers(cset, gt, tau=1.0, restrict_to=[])
+        assert len(nothing.ids) == 0
+        assert nothing.mean_residual == 0.0
 
 
 class TestRunRansac:
@@ -339,7 +341,7 @@ class TestRunRansac:
 def per_iteration_poses(cset, groups, bearings, seed, k):
     """Iteration ``k``'s MoCap poses, drawn and solved one sample at a time."""
     rng = np.random.default_rng((seed, k))
-    _, group_ids = groups[int(rng.integers(len(groups)))]
+    group_ids = groups[int(rng.integers(len(groups)))]
     entry_ids = group_ids[rng.choice(group_ids.size, size=3, replace=False)]
     cam = cset.cameras[int(cset.cam_indices[entry_ids[0]])]
     if not np.isfinite(bearings[entry_ids]).all():
@@ -395,16 +397,14 @@ def unbounded_score(blocks, rotations, translations, tau):
     """Every entry of every pose scored, as before the bail-out test."""
     totals = [0] * rotations.shape[0]
     sums = [0.0] * rotations.shape[0]
-    keep_per_block = []
     for block in blocks:
         norms, _, keep = ransac._evaluate_block(block, rotations, translations, tau)
-        keep_per_block.append(keep)
         for h, count in enumerate(np.count_nonzero(keep, axis=1).tolist()):
             if count:
                 totals[h] += count
                 sums[h] += float(norms[h][keep[h]].sum())
     means = [res_sum / total if total else 0.0 for res_sum, total in zip(sums, totals)]
-    return totals, means, keep_per_block
+    return totals, means
 
 
 def unbounded_ransac(cset, cfg):
@@ -415,7 +415,7 @@ def unbounded_ransac(cset, cfg):
     iters, sols, rots, trans = ransac._sample_chunk(cset, groups, bearings, cfg.seed, 0, cfg.iterations)
     best = None
     for lo in range(0, iters.size, 16):
-        totals, means, _ = unbounded_score(blocks, rots[lo : lo + 16], trans[lo : lo + 16], cfg.tau)
+        totals, means = unbounded_score(blocks, rots[lo : lo + 16], trans[lo : lo + 16], cfg.tau)
         for j, total, mean in zip(range(lo, lo + 16), totals, means):
             key = ransac._candidate_key(total, mean)
             if best is None or key < best[0]:
@@ -485,13 +485,12 @@ class TestBoundedScoring:
         synth = generate(SynthConfig(n_joints=17, seed=6, **SAMPLE_SESSIONS[name]))
         blocks = synth.correspondences.camera_blocks(stride=2)
         rots, trans = sampled_poses(synth, 24)
-        want_totals, want_means, want_keep = unbounded_score(blocks, rots, trans, 6.0)
+        want_totals, want_means = unbounded_score(blocks, rots, trans, 6.0)
         scanned = spy_scanned(monkeypatch)
-        totals, means, masks = ransac._score_blocks(blocks, rots, trans, 6.0)
+        totals, means = ransac._score_blocks(blocks, rots, trans, 6.0)
         assert scanned == [(24, block.entry_ids.size) for block in blocks]
         assert totals == want_totals
         assert means == want_means
-        assert [mask.tobytes() for mask in masks] == [keep.tobytes() for keep in want_keep]
 
     @pytest.mark.parametrize("segment", [2, 7, 1024])
     def test_only_poses_that_reach_the_bound_get_a_mean(self, segment, monkeypatch):
@@ -499,13 +498,11 @@ class TestBoundedScoring:
         synth = generate(SynthConfig(n_joints=17, seed=6, **SAMPLE_SESSIONS["long_capture"]))
         blocks = synth.correspondences.camera_blocks(stride=2)
         rots, trans = sampled_poses(synth, 24)
-        want_totals, want_means, want_keep = unbounded_score(blocks, rots, trans, 6.0)
+        want_totals, want_means = unbounded_score(blocks, rots, trans, 6.0)
         bound = sorted(want_totals)[-3]
-        totals, means, masks = ransac._score_blocks(blocks, rots, trans, 6.0, bound)
+        totals, means = ransac._score_blocks(blocks, rots, trans, 6.0, bound)
         survivors = [h for h, total in enumerate(want_totals) if total >= bound]
         assert 3 <= len(survivors) < 24
-        for mask, keep in zip(masks, want_keep):
-            assert mask.tobytes() == keep[survivors].tobytes()
         for h in range(24):
             if h in survivors:
                 assert totals[h] == want_totals[h]
