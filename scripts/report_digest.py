@@ -2,9 +2,11 @@
 
 Calibrates a fixed, seeded set of synthetic sessions and prints one
 SHA-256 per session of its report as ``save_report`` writes it, minus
-the ``timing`` block, then one combined digest over all of them. Two
-checkouts that print the same combined digest produce the same reports
-apart from timing.
+the ``timing`` block, then two combined digests: ``combined`` over the
+sweep, mono and clean sessions, which compares with digests recorded
+before the full sessions were added, and ``extended`` over every session.
+Two checkouts that print the same extended digest produce the same
+reports apart from timing.
 
 Sessions:
   * sweep00-19: the criteria 4/5 sweep (2 cameras, 300 frames, sigma 2 px,
@@ -15,7 +17,11 @@ Sessions:
     (``-gt``) and without it (``-nogt``);
   * clean0-3: noiseless 2-camera sessions. Their initial pose is already at
     machine precision, so refinement is rejected on some of them (seeds 2
-    and 3), which covers the branch that reports the initial pose.
+    and 3), which covers the branch that reports the initial pose;
+  * full0-1: every distortion term non-zero (k1 -0.2, k2 0.05, k3 -0.01,
+    p1 1e-3, p2 -5e-4), sigma 2 px, 20 % outliers, with ground truth;
+    full0 has two cameras, full1 one camera with skew 2 px, so the general
+    projection path, whose terms the others leave at 0, is covered too.
 
 ``--dump FILE`` also writes every report minus ``timing`` to FILE, keyed by
 session name. ``--against FILE`` compares the reports with such a dump and
@@ -37,7 +43,14 @@ import json
 import math
 import re
 
-from mocapcal import DistortionCoeffs, RansacConfig, RefineConfig, calibrate
+from mocapcal import (
+    CameraModel,
+    CorrespondenceSet,
+    DistortionCoeffs,
+    RansacConfig,
+    RefineConfig,
+    calibrate,
+)
 from mocapcal.session_io import report_to_dict
 from mocapcal.synth import SynthConfig, generate
 
@@ -83,6 +96,52 @@ def clean_runs(n_seeds):
         yield f"clean{seed}", session.correspondences, dict(
             ransac_cfg=RansacConfig(tau=2.0, iterations=100, seed=seed, coarse_stride=2),
             refine_cfg=RefineConfig(steps=50, fine_stride=1),
+            gt_extrinsic=session.gt_extrinsic,
+        )
+
+
+FULL_DISTORTION = DistortionCoeffs(k1=-0.2, k2=0.05, k3=-0.01, p1=1e-3, p2=-5e-4)
+
+
+def with_skew(cset, skew):
+    """``cset`` seen through cameras with ``skew``: each pixel moves by ``skew * yd``."""
+    cameras, pixels = [], cset.points2d.copy()
+    for i, cam in enumerate(cset.cameras):
+        intrinsics = cam.intrinsics.copy()
+        intrinsics[0, 1] = skew
+        cameras.append(
+            CameraModel(intrinsics, cam.rotation, cam.translation, cam.distortion, cam.image_size)
+        )
+        rows = cset.cam_indices == i
+        pixels[rows, 0] += skew * (pixels[rows, 1] - cam.cy) / cam.fy
+    return CorrespondenceSet(
+        cameras,
+        cset.cam_indices,
+        cset.joint_indices,
+        cset.frame_indices,
+        cset.points3d,
+        pixels,
+        cset.valid,
+        cset.dims,
+    )
+
+
+def full_runs(n_seeds):
+    for seed in range(n_seeds):
+        session = generate(
+            SynthConfig(
+                n_cameras=2 - seed,
+                n_frames=200,
+                noise_sigma=2.0,
+                outlier_fraction=0.2,
+                distortion=FULL_DISTORTION,
+                seed=200 + seed,
+            )
+        )
+        cset = session.correspondences
+        yield f"full{seed}", with_skew(cset, 2.0) if seed else cset, dict(
+            ransac_cfg=RansacConfig(tau=6.0, iterations=400, seed=seed, coarse_stride=2),
+            refine_cfg=RefineConfig(steps=400, fine_stride=1),
             gt_extrinsic=session.gt_extrinsic,
         )
 
@@ -149,13 +208,17 @@ def main():
     parser.add_argument("--against", metavar="FILE", help="compare with a --dump file")
     args = parser.parse_args()
     docs = {}
-    combined = hashlib.sha256()
-    for name, cset, kwargs in itertools.chain(sweep_runs(20), mono_runs(3), clean_runs(4)):
+    combined, extended = hashlib.sha256(), hashlib.sha256()
+    runs = itertools.chain(sweep_runs(20), mono_runs(3), clean_runs(4), full_runs(2))
+    for name, cset, kwargs in runs:
         docs[name] = report_doc(calibrate(cset, **kwargs))
         digest = hashlib.sha256(json.dumps(docs[name], indent=2).encode("utf-8")).hexdigest()
-        combined.update(digest.encode("ascii"))
+        if not name.startswith("full"):
+            combined.update(digest.encode("ascii"))
+        extended.update(digest.encode("ascii"))
         print(f"{name:<12} {digest}", flush=True)
     print(f"{'combined':<12} {combined.hexdigest()}")
+    print(f"{'extended':<12} {extended.hexdigest()}")
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
             json.dump(docs, fh, indent=2)

@@ -24,7 +24,6 @@ from .geometry import (
     EulerPose,
     RigidTransform,
     distort_normalized,
-    distortion_jacobian,
     nearest_rotation,
     project_points,
     rotation_geodesic_deg,
@@ -120,7 +119,6 @@ __all__ = [
     "cosine_lr",
     "count_inliers",
     "distort_normalized",
-    "distortion_jacobian",
     "generate",
     "load_report",
     "load_session",

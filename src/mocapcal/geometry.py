@@ -13,10 +13,12 @@ Conventions used throughout the package:
   applied to normalized image coordinates.
 
 The projection chain lives only here, in one stacked, coordinate-major
-form: for H poses, camera and pose are composed (``R_c R``,
-``R_c t + t_c``) and applied to the points, stored as one ``(3, N)`` row
-per coordinate, in a single ``(3H, 3) @ (3, N)`` product. Depth, the
+form: for H poses, camera and pose are composed into ``[R_c R | R_c t +
+t_c]`` and applied to the points, stored as one ``(4, N)`` matrix with rows
+X, Y, Z and 1, in a single ``(3H, 4) @ (4, N)`` product. Depth, the
 normalized and the pixel coordinates then come out as ``(H, N)`` arrays.
+Skew and distortion terms whose coefficient is 0 are not evaluated: the
+±0 they would add leaves every finite non-zero value unchanged.
 RANSAC scoring, every evaluation (via :func:`project_points`, its H = 1
 case) and the refinement run this chain, and it is the only way a point is
 projected. It never raises for a point on the principal plane: that
@@ -269,41 +271,48 @@ def rotation_to_euler(rotation: np.ndarray) -> tuple[float, float, float]:
 def _distort(coeffs: DistortionCoeffs, x: np.ndarray, y: np.ndarray):
     """Brown-Conrady distortion of normalized coordinates given as separate arrays.
 
-    Evaluates, operation for operation,
-    ``r2 = x x + y y``, ``radial = 1 + r2 (k1 + r2 (k2 + r2 k3))``,
+    Evaluates ``r2 = x x + y y``, ``radial = 1 + r2 (k1 + r2 (k2 + r2 k3))``,
     ``xd = x radial + 2 p1 x y + p2 (r2 + 2 x x)`` and
     ``yd = y radial + p1 (r2 + 2 y y) + 2 p2 x y``, in place on three
     temporaries: on stacked (H, N) inputs fresh arrays per step would
-    cost more in allocation than in arithmetic.
+    cost more in allocation than in arithmetic. ``r2 k3`` is skipped when
+    ``k3`` is 0, and the four tangential terms when ``p1`` and ``p2`` both
+    are; every term that is evaluated is evaluated operation for operation,
+    left to right, so the result has the bits of the five-term form
+    wherever that is finite and non-zero.
     """
     k1, k2, p1, p2, k3 = coeffs.as_tuple()
     r2 = x * x
     tmp = y * y
     r2 += tmp
-    radial = r2 * k3
-    radial += k2
-    radial *= r2
+    if k3:
+        radial = r2 * k3
+        radial += k2
+        radial *= r2
+    else:
+        radial = r2 * k2
     radial += k1
     radial *= r2
     radial += 1.0
     xd = x * radial
-    np.multiply(2.0 * p1, x, out=tmp)
-    tmp *= y
-    xd += tmp
-    np.multiply(2.0, x, out=tmp)
-    tmp *= x
-    tmp += r2
-    tmp *= p2
-    xd += tmp
     yd = np.multiply(y, radial, out=radial)
-    np.multiply(2.0, y, out=tmp)
-    tmp *= y
-    tmp += r2
-    tmp *= p1
-    yd += tmp
-    np.multiply(2.0 * p2, x, out=tmp)
-    tmp *= y
-    yd += tmp
+    if p1 or p2:
+        np.multiply(2.0 * p1, x, out=tmp)
+        tmp *= y
+        xd += tmp
+        np.multiply(2.0, x, out=tmp)
+        tmp *= x
+        tmp += r2
+        tmp *= p2
+        xd += tmp
+        np.multiply(2.0, y, out=tmp)
+        tmp *= y
+        tmp += r2
+        tmp *= p1
+        yd += tmp
+        np.multiply(2.0 * p2, x, out=tmp)
+        tmp *= y
+        yd += tmp
     return xd, yd
 
 
@@ -367,23 +376,26 @@ def _distortion_terms(coeffs: DistortionCoeffs, x: np.ndarray, y: np.ndarray):
     """Radial factor and the distinct Jacobian entries ``jxx``, ``jxy``, ``jyy``.
 
     The Jacobian of the distortion map at ``(x, y)`` is symmetric, so these
-    three terms are all of it.
+    three terms are all of it. As in :func:`_distort`, the ``k3`` terms are
+    skipped when ``k3`` is 0 and the tangential ones when ``p1`` and ``p2``
+    both are, and the rest keep the five-term form's order.
     """
     k1, k2, p1, p2, k3 = coeffs.as_tuple()
     r2 = x * x + y * y
-    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-    dradial = k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2)
-    jxx = radial + 2.0 * x * x * dradial + 2.0 * p1 * y + 6.0 * p2 * x
-    jxy = 2.0 * x * y * dradial + 2.0 * p1 * x + 2.0 * p2 * y
-    jyy = radial + 2.0 * y * y * dradial + 6.0 * p1 * y + 2.0 * p2 * x
+    if k3:
+        poly, dpoly = k2 + r2 * k3, 2.0 * k2 + 3.0 * k3 * r2
+    else:
+        poly, dpoly = k2, 2.0 * k2
+    radial = 1.0 + r2 * (k1 + r2 * poly)
+    dradial = k1 + r2 * dpoly
+    jxx = radial + 2.0 * x * x * dradial
+    jxy = 2.0 * x * y * dradial
+    jyy = radial + 2.0 * y * y * dradial
+    if p1 or p2:
+        jxx = jxx + 2.0 * p1 * y + 6.0 * p2 * x
+        jxy = jxy + 2.0 * p1 * x + 2.0 * p2 * y
+        jyy = jyy + 6.0 * p1 * y + 2.0 * p2 * x
     return radial, jxx, jxy, jyy
-
-
-def distortion_jacobian(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray:
-    """Jacobian of the distortion map at ``xy``, shape ``(..., 2, 2)``."""
-    xy = np.asarray(xy, dtype=np.float64)
-    _, jxx, jxy, jyy = _distortion_terms(coeffs, xy[..., 0], xy[..., 1])
-    return np.stack([jxx, jxy, jxy, jyy], axis=-1).reshape(xy.shape[:-1] + (2, 2))
 
 
 def pixel_bearings(camera: CameraModel, pixels: np.ndarray) -> np.ndarray:
@@ -409,32 +421,42 @@ def pixel_bearings(camera: CameraModel, pixels: np.ndarray) -> np.ndarray:
 def project_stacked(
     camera: CameraModel, rotations: np.ndarray, translations: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Project coordinate-major MoCap points ``(3, N)`` under H poses through ``camera``.
+    """Project homogeneous MoCap points ``(4, N)`` under H poses through ``camera``.
 
-    Returns depth ``z``, normalized ``x``, ``y`` and pixel ``u``, ``v``,
-    each ``(H, N)``. ``rotations`` is ``(H, 3, 3)`` and ``translations``
-    ``(H, 3)``. Each pose is composed with the camera, and one
-    ``(3H, 3) @ (3, N)`` product takes the points into every camera frame.
-    Then ``x = X / z``, ``y = Y / z`` (stored over ``X`` and ``Y``),
-    distortion, ``u = fx xd + skew yd + cx`` and ``v = fy yd + cy``. Points
-    on the principal plane get non-finite coordinates; callers gate on ``z``.
+    ``points`` is a C-ordered matrix with rows X, Y, Z and 1, or a column
+    slice of one, which serves as it is; BLAS reads a transposed layout in
+    another order, so its bits would differ. ``rotations`` is
+    ``(H, 3, 3)`` and ``translations`` ``(H, 3)``. Returns depth ``z``,
+    normalized ``x``, ``y`` and pixel ``u``, ``v``, each ``(H, N)``.
+
+    Each pose is composed with the camera into ``[R_c R | R_c t + t_c]``,
+    the rows stacked coordinate-major (every pose's X row, then the Y
+    rows, then the Z rows, so each coordinate comes out as one contiguous
+    ``(H, N)`` array), and one ``(3H, 4) @ (4, N)`` product takes the
+    points into every camera frame. The row of ones adds the translation
+    as the last term of each sum, so for N >= 2 the result has the bits of
+    ``R_c R P`` plus ``R_c t + t_c``; at N = 1 NumPy computes a
+    matrix-vector product, whose bits may differ. Then ``x = X / z``,
+    ``y = Y / z`` (stored over ``X`` and ``Y``), distortion,
+    ``u = fx xd + skew yd + cx`` (the skew term skipped when skew is 0) and
+    ``v = fy yd + cy``. Points on the principal plane get non-finite
+    coordinates; callers gate on ``z``.
     """
     n_poses = rotations.shape[0]
-    rot = camera.rotation @ rotations
-    trans = (camera.rotation @ translations[:, :, None])[:, :, 0] + camera.translation
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    cam = (rot.reshape(3 * n_poses, 3) @ pts).reshape(n_poses, 3, -1)
-    cam += trans[:, :, None]
-    z = cam[:, 2]
+    pose = np.empty((3, n_poses, 4))
+    pose[:, :, :3] = (camera.rotation @ rotations).transpose(1, 0, 2)
+    pose[:, :, 3] = ((camera.rotation @ translations[:, :, None])[:, :, 0] + camera.translation).T
+    cam = (pose.reshape(3 * n_poses, 4) @ points).reshape(3, n_poses, -1)
+    z = cam[2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.divide(cam[:, 0], z, out=cam[:, 0])
-        y = np.divide(cam[:, 1], z, out=cam[:, 1])
+        x = np.divide(cam[0], z, out=cam[0])
+        y = np.divide(cam[1], z, out=cam[1])
         xd, yd = (x, y) if camera.distortion is None else _distort(camera.distortion, x, y)
         u = camera.fx * xd
-        tmp = camera.skew * yd
-        u += tmp
+        if camera.skew:
+            u += camera.skew * yd
         u += camera.cx
-        v = np.multiply(camera.fy, yd, out=tmp)
+        v = camera.fy * yd
         v += camera.cy
     return z, x, y, u, v
 
@@ -447,12 +469,17 @@ def project_points(
     Vectorized and exception-free: returns ``(pixels (..., 2), depths)``.
     A point on the camera's principal plane (depth 0) gets a non-finite
     pixel and a point behind the camera a finite one, so callers gate on
-    depth. This is :func:`project_stacked` with one pose.
+    depth. This is :func:`project_stacked` with one pose, on the points'
+    ``(4, N)`` homogeneous matrix.
     """
     pts = np.asarray(points, dtype=np.float64)
     lead = pts.shape[:-1]
+    flat = pts.reshape(-1, 3)
+    q = np.empty((4, flat.shape[0]))
+    q[:3] = flat.T
+    q[3] = 1.0
     z, _, _, u, v = project_stacked(
-        camera, transform.rotation[None], transform.translation[None], pts.reshape(-1, 3).T
+        camera, transform.rotation[None], transform.translation[None], q
     )
     return np.stack([u[0], v[0]], axis=-1).reshape(lead + (2,)), z[0].reshape(lead)
 

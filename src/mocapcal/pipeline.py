@@ -71,8 +71,8 @@ def _evaluate(
     id_chunks = []
     rotations, translations = transform.rotation[None], transform.translation[None]
     for block in blocks:
-        norms, front, keep = _evaluate_block(block, rotations, translations, tau)
-        total += float(norms[0][front[0]].sum())
+        sq, front, keep = _evaluate_block(block, rotations, translations, tau)
+        total += float(np.sqrt(sq[0][front[0]]).sum())
         count += int(np.count_nonzero(front))
         if keep is not None:
             id_chunks.append(block.entry_ids[keep[0]])

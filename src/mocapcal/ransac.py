@@ -8,8 +8,12 @@ by a single camera in a single frame, solves the three-point pose
 problem, and scores each hypothesis by counting reprojection inliers over
 a frame-strided subset of the data. ``_evaluate_block`` alone decides
 what is in front of a camera and what is an inlier, for a stack of poses
-at once, through the stacked projection chain; scoring and the stride-1
-evaluation reduce what it returns.
+at once, through the stacked projection chain. It works on squared
+residuals: an entry is an inlier when its squared residual is below the
+least double whose square root rounds to at least ``tau``, which is
+exactly ``residual < tau``, and NaN or inf fail that test with no
+separate finiteness pass. Scoring and the stride-1 evaluation reduce
+what it returns and take the square root only of the residuals they sum.
 
 The work is done in bulk. Every valid pixel's bearing is computed once
 per run, and each iteration indexes the three it samples; a sample with a
@@ -33,6 +37,7 @@ are chunked nor, the bail-out test being exact, on the segment sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -44,15 +49,17 @@ from .p3p import recover_mocap_poses, solve_p3p_batch
 
 # Consecutive iterations whose solutions are scored in one pass per block.
 # Larger passes pay less per-call overhead but grow the (H, N) temporaries;
-# 8 measured fastest on the benchmark's workloads.
+# 8 measured fastest on the benchmark's workloads. At 16 the projection
+# product grows past OpenBLAS's threading threshold on the larger blocks,
+# and CPU time per job rose by about 1.4x.
 _SCORE_ITERATIONS = 8
 
 # Entries the first scoring segment of a block covers at least; each later
 # one covers at least twice the one before. Shorter segments drop hopeless
 # poses sooner but pay more per-call overhead, and a pose that cannot be
 # dropped, such as a perfect one on noiseless data, is rescanned in a
-# logarithmic number of calls. 512 measured fastest on the benchmark's
-# workloads.
+# logarithmic number of calls. On the benchmark's workloads 256 and 1024
+# came within 5 % of 512 either way, with no consistent winner.
 _MIN_SEGMENT = 512
 
 # Consecutive iterations whose minimal samples are solved in one batch.
@@ -62,9 +69,12 @@ _SAMPLE_ITERATIONS = 256
 class CameraBlock(NamedTuple):
     """All selected entries of one camera, flattened for vectorized math.
 
-    ``points3d`` (N, 3) and ``points2d`` (N, 2) are views of
-    coordinate-major arrays, so ``points3d.T`` is the contiguous (3, N)
-    input of :func:`mocapcal.geometry.project_stacked`.
+    ``homogeneous`` is the C-ordered (4, N) matrix of the MoCap points,
+    rows X, Y, Z and 1: the input of
+    :func:`mocapcal.geometry.project_stacked`, and the ``Q`` of
+    refinement's gradient product. ``points3d`` (N, 3) is the view of its
+    first three rows, and ``points2d`` (N, 2) a view of a coordinate-major
+    array, so ``points2d.T`` is contiguous.
     """
 
     cam_index: int
@@ -72,6 +82,7 @@ class CameraBlock(NamedTuple):
     entry_ids: np.ndarray
     points3d: np.ndarray
     points2d: np.ndarray
+    homogeneous: np.ndarray
 
 
 class CorrespondenceSet:
@@ -186,9 +197,11 @@ class CorrespondenceSet:
         for i, cam in enumerate(self.cameras):
             ids = np.flatnonzero(mask & (self.cam_indices == i))
             if ids.size:
-                pts3 = np.take(self.points3d.T, ids, axis=1).T
+                q = np.empty((4, ids.size))
+                np.take(self.points3d.T, ids, axis=1, out=q[:3])
+                q[3] = 1.0
                 pts2 = np.take(self.points2d.T, ids, axis=1).T
-                blocks.append(CameraBlock(i, cam, ids, pts3, pts2))
+                blocks.append(CameraBlock(i, cam, ids, q[:3].T, pts2, q))
         return blocks
 
 
@@ -199,19 +212,37 @@ class InlierCount(NamedTuple):
     mean_residual: float
 
 
+def _squared_threshold(tau: float) -> float:
+    """The least double whose correctly rounded square root is at least ``tau``.
+
+    The square root rounds monotonically, so for every non-negative double
+    ``sq``, ``sq < _squared_threshold(tau)`` holds exactly when
+    ``sqrt(sq) < tau`` does; both fail for NaN and inf.
+    """
+    t = tau * tau
+    while math.sqrt(t) < tau:
+        t = math.nextafter(t, math.inf)
+    while math.sqrt(below := math.nextafter(t, 0.0)) >= tau:
+        t = below
+    return t
+
+
 def _evaluate_block(
     block: CameraBlock,
     rotations: np.ndarray,
     translations: np.ndarray,
     tau: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Residual norms, positive-depth mask and, given ``tau``, inlier mask.
+    """Squared residuals, positive-depth mask and, given ``tau``, inlier mask.
 
     Scores H poses, ``rotations`` (H, 3, 3) and ``translations`` (H, 3),
-    at once; each result is (H, N). The norm is ``sqrt(du**2 + dv**2)``,
-    evaluated in place over the projected pixels.
+    at once; each result is (H, N). The squared residual is
+    ``du**2 + dv**2``, evaluated in place over the projected pixels. An
+    inlier lies in front of the camera with a squared residual below
+    :func:`_squared_threshold` of ``tau``, so exactly when its residual,
+    the correctly rounded square root, is below ``tau``.
     """
-    z, _, _, du, dv = project_stacked(block.camera, rotations, translations, block.points3d.T)
+    z, _, _, du, dv = project_stacked(block.camera, rotations, translations, block.homogeneous)
     obs = block.points2d.T
     with np.errstate(invalid="ignore", over="ignore"):
         du -= obs[0]
@@ -219,11 +250,12 @@ def _evaluate_block(
         np.square(du, out=du)
         np.square(dv, out=dv)
         du += dv
-        norms = np.sqrt(du, out=du)
-        front = z > 0.0
-        if tau is None:
-            return norms, front, None
-        return norms, front, front & np.isfinite(norms) & (norms < tau)
+    front = z > 0.0
+    if tau is None:
+        return du, front, None
+    keep = du < _squared_threshold(tau)
+    keep &= front
+    return du, front, keep
 
 
 def _score_blocks(
@@ -247,14 +279,17 @@ def _score_blocks(
 
     Returns per pose its inlier count (a dropped pose's count so far) and
     its mean inlier residual, or ``None`` for a pose that was dropped or
-    ends below ``bound``. A mean adds each block's kept residuals, in
-    storage order, then the block sums in block order, so it depends
-    neither on the other poses scored with it nor on the segments. That
-    holds as long as the BLAS product of the stacked projection gives each
-    entry the same bits whatever the number of poses and entries it is
-    computed for, which the tests check on the machine they run on. A
-    one-entry product, which numpy computes as a matrix-vector product,
-    does not, so no one-entry segment is split off a longer block.
+    ends below ``bound``. A mean adds each block's kept residuals, the
+    square roots of the kept squared residuals, in storage order, then the
+    block sums in block order, so it depends neither on the other poses
+    scored with it nor on the segments. A segment reads a column slice of
+    the block's homogeneous matrix, with no copy. The result holds as long
+    as the BLAS product of the stacked projection gives each entry the
+    same bits whatever the number of poses and entries it is computed for
+    and whether it reads a whole matrix or a column slice, which the tests
+    check on the machine they run on. A one-entry product does not: NumPy
+    computes it as a matrix-vector product, whose bits may differ, so no
+    one-entry segment is split off a longer block.
     """
     counts = np.zeros(rotations.shape[0], dtype=np.int64)
     live = np.arange(rotations.shape[0])
@@ -273,11 +308,12 @@ def _score_blocks(
                 entry_ids=block.entry_ids[lo:hi],
                 points3d=block.points3d[lo:hi],
                 points2d=block.points2d[lo:hi],
+                homogeneous=block.homogeneous[:, lo:hi],
             )
-            norms, _, keep = _evaluate_block(segment, rotations[live], translations[live], tau)
+            sq, _, keep = _evaluate_block(segment, rotations[live], translations[live], tau)
             counts[live] += np.count_nonzero(keep, axis=1)
             remaining -= hi - lo
-            segments.append((live, norms, keep))
+            segments.append((live, sq, keep))
             live = live[counts[live] + remaining >= bound]
             lo = hi
         scans.append(segments)
@@ -289,10 +325,10 @@ def _score_blocks(
     sums = [0.0] * live.size
     for segments in scans:
         rows = [np.searchsorted(scanned, live) for scanned, _, _ in segments]
-        norms = np.concatenate([n[r] for r, (_, n, _) in zip(rows, segments)], axis=1)
+        sq = np.concatenate([s[r] for r, (_, s, _) in zip(rows, segments)], axis=1)
         keep = np.concatenate([k[r] for r, (_, _, k) in zip(rows, segments)], axis=1)
         for i in range(live.size):
-            sums[i] += float(norms[i][keep[i]].sum())
+            sums[i] += float(np.sqrt(sq[i][keep[i]]).sum())
     for res_sum, h in zip(sums, live.tolist()):
         means[h] = res_sum / totals[h] if totals[h] else 0.0
     return totals, means
@@ -317,9 +353,9 @@ def count_inliers(
     id_chunks = []
     res_sum = 0.0
     for block in cset.camera_blocks(stride=stride, restrict_to=restrict_to):
-        norms, _, keep = _evaluate_block(block, rotations, translations, tau)
+        sq, _, keep = _evaluate_block(block, rotations, translations, tau)
         id_chunks.append(block.entry_ids[keep[0]])
-        res_sum += float(norms[0][keep[0]].sum())
+        res_sum += float(np.sqrt(sq[0][keep[0]]).sum())
     ids = np.sort(np.concatenate(id_chunks)) if id_chunks else np.empty(0, dtype=np.int64)
     return InlierCount(ids=ids, mean_residual=res_sum / ids.size if ids.size else 0.0)
 

@@ -7,12 +7,13 @@ translation. The forward pass runs the stacked projection chain of
 evaluation run, so refinement and evaluation agree on which points lie in
 front of a camera. Gradients are analytic: the pixel residual is chained
 back through the intrinsics, the distortion Jacobian and the perspective
-division to one camera-frame vector per entry, the rows of ``W``. One
-``(3, 4)`` product ``W @ Q.T``, with ``Q`` the constant rows X, Y, Z and 1
-of the camera's points, gives both the moment the angle gradients
-contract with and the column sums of the translation gradient. The loss
-and that product use NumPy's pairwise and BLAS's blocked sums, not a
-sequential one. Updates use Adam with the standard decay rates and
+division to one camera-frame vector per entry, the rows of ``W``; a zero
+skew adds no term to that pull-back. One ``(3, 4)`` product ``W @ Q.T``,
+with ``Q`` the camera block's homogeneous matrix (rows X, Y, Z and 1),
+the one the forward pass projects, gives both the moment the angle
+gradients contract with and the column sums of the translation gradient.
+The loss and that product use NumPy's pairwise and BLAS's blocked sums,
+not a sequential one. Updates use Adam with the standard decay rates and
 guard, separate learning rates for the angle and translation blocks, and
 a cosine-annealed schedule over ``steps`` that ends at 1 % of each rate.
 ``steps`` caps the run: it stops earlier once the best loss has reached
@@ -33,7 +34,6 @@ import numpy as np
 
 from .errors import EmptyActiveSetError
 from .geometry import (
-    CameraModel,
     EulerPose,
     RigidTransform,
     _distortion_terms,
@@ -143,23 +143,7 @@ def adam_step(
     return AdamState(m=m, v=v, step=step), delta
 
 
-def _homogeneous_blocks(
-    blocks: Sequence[CameraBlock],
-) -> list[tuple[CameraModel, np.ndarray, np.ndarray]]:
-    """Each block as its camera, its points as the C-ordered ``(4, N)``
-    matrix ``Q`` with rows X, Y, Z and 1, and its ``(2, N)`` pixels."""
-    lean = []
-    for block in blocks:
-        q = np.empty((4, block.entry_ids.size))
-        q[:3] = block.points3d.T
-        q[3] = 1.0
-        lean.append((block.camera, q, block.points2d.T))
-    return lean
-
-
-def _loss_and_gradient_on_blocks(
-    blocks: Sequence[tuple[CameraModel, np.ndarray, np.ndarray]], pose: EulerPose
-) -> LossReport:
+def _loss_and_gradient_on_blocks(blocks: Sequence[CameraBlock], pose: EulerPose) -> LossReport:
     rot, *drots = rotation_zyx_derivatives(pose.alpha, pose.beta, pose.gamma)
     trans = pose.translation
     loss_sum = 0.0
@@ -168,9 +152,10 @@ def _loss_and_gradient_on_blocks(
     # both taken back to the MoCap frame.
     pulled = np.zeros((3, 4))
     active = 0
-    for cam, q, obs in blocks:
+    for block in blocks:
+        cam, q, obs = block.camera, block.homogeneous, block.points2d.T
         z, xn, yn, u, v = (
-            coord[0] for coord in project_stacked(cam, rot[None], trans[None], q[:3])
+            coord[0] for coord in project_stacked(cam, rot[None], trans[None], q)
         )
         front = z > 0.0
         count = int(np.count_nonzero(front))
@@ -190,7 +175,9 @@ def _loss_and_gradient_on_blocks(
         # (D^T), and perspective division (N^T) to camera-frame vectors,
         # the rows of W.
         pr0 = cam.fx * du
-        pr1 = cam.skew * du + cam.fy * dv
+        pr1 = cam.fy * dv
+        if cam.skew:
+            pr1 += cam.skew * du
         if cam.distortion is not None:
             _, jxx, jxy, jyy = _distortion_terms(cam.distortion, xn, yn)
             pr0, pr1 = jxx * pr0 + jxy * pr1, jxy * pr0 + jyy * pr1
@@ -225,7 +212,7 @@ def loss_and_gradient(
     ``pose`` is strictly positive. An empty active set yields a zero
     loss, zero gradient, and ``active_count == 0``.
     """
-    blocks = _homogeneous_blocks(cset.camera_blocks(stride=stride, restrict_to=restrict_to))
+    blocks = cset.camera_blocks(stride=stride, restrict_to=restrict_to)
     return _loss_and_gradient_on_blocks(blocks, pose)
 
 
@@ -250,9 +237,7 @@ def refine_pose(
     """
     alpha, beta, gamma = rotation_to_euler(init.rotation)
     params = np.concatenate(([alpha, beta, gamma], init.translation))
-    blocks = _homogeneous_blocks(
-        cset.camera_blocks(stride=cfg.fine_stride, restrict_to=restrict_to)
-    )
+    blocks = cset.camera_blocks(stride=cfg.fine_stride, restrict_to=restrict_to)
 
     state = AdamState.zeros()
     trace = np.empty(cfg.steps)

@@ -398,11 +398,11 @@ def unbounded_score(blocks, rotations, translations, tau):
     totals = [0] * rotations.shape[0]
     sums = [0.0] * rotations.shape[0]
     for block in blocks:
-        norms, _, keep = ransac._evaluate_block(block, rotations, translations, tau)
+        sq, _, keep = ransac._evaluate_block(block, rotations, translations, tau)
         for h, count in enumerate(np.count_nonzero(keep, axis=1).tolist()):
             if count:
                 totals[h] += count
-                sums[h] += float(norms[h][keep[h]].sum())
+                sums[h] += float(np.sqrt(sq[h][keep[h]]).sum())
     means = [res_sum / total if total else 0.0 for res_sum, total in zip(sums, totals)]
     return totals, means
 

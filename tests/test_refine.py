@@ -24,7 +24,7 @@ from mocapcal import (
     run_ransac,
 )
 from mocapcal import refine
-from mocapcal.geometry import distortion_jacobian, project_stacked, rotation_zyx_derivatives
+from mocapcal.geometry import _distortion_terms, project_stacked, rotation_zyx_derivatives
 from mocapcal.ransac import CameraBlock
 from mocapcal.synth import GAUSSIAN, SynthConfig, generate
 
@@ -195,7 +195,7 @@ def lean_loss_and_gradient(blocks, pose):
         cam = block.camera
         z, xn, yn, u, v = (
             coord[0]
-            for coord in project_stacked(cam, rot[None], pose.translation[None], block.points3d.T)
+            for coord in project_stacked(cam, rot[None], pose.translation[None], block.homogeneous)
         )
         front = z > 0.0
         if not np.any(front):
@@ -210,11 +210,8 @@ def lean_loss_and_gradient(blocks, pose):
         pr0 = cam.fx * du
         pr1 = cam.skew * du + cam.fy * dv
         if cam.distortion is not None:
-            jac = distortion_jacobian(cam.distortion, np.stack([xn, yn], axis=-1))
-            pr0, pr1 = (
-                jac[:, 0, 0] * pr0 + jac[:, 1, 0] * pr1,
-                jac[:, 0, 1] * pr0 + jac[:, 1, 1] * pr1,
-            )
+            _, jxx, jxy, jyy = _distortion_terms(cam.distortion, xn, yn)
+            pr0, pr1 = jxx * pr0 + jxy * pr1, jxy * pr0 + jyy * pr1
         w0, w1 = pr0 / z, pr1 / z
         w = np.stack([w0, w1, -(xn * w0 + yn * w1)])
         q = np.vstack([pts3.T, np.ones(z.size)])
@@ -234,7 +231,7 @@ def perturbed_poses(transform, rng, count=4):
 
 
 def lean_pass(blocks, pose):
-    return refine._loss_and_gradient_on_blocks(refine._homogeneous_blocks(blocks), pose)
+    return refine._loss_and_gradient_on_blocks(blocks, pose)
 
 
 def assert_same_bits(blocks, poses):

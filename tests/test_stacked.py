@@ -3,12 +3,18 @@
 Scoring a stack of poses must give, bit for bit, what scoring each pose
 alone gives, and a pixel's bearing must not depend on the other pixels it
 is computed with: the winner of a search, and its tie-breaks, rest on both.
+The chain's shortcuts must be exact too: the squared-residual inlier test,
+the skipped zero terms and the one product on homogeneous points.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 from mocapcal import (
+    CameraModel,
     DistortionCoeffs,
     MinimalProblem,
     RigidTransform,
@@ -18,9 +24,10 @@ from mocapcal import (
     undistort_normalized,
 )
 from mocapcal import ransac
+from mocapcal.geometry import _distort, _distortion_terms, project_stacked
 from mocapcal.synth import SynthConfig, generate
 
-from helpers import BASIC_K, basic_camera, camera_to_mocap, make_set
+from helpers import BASIC_K, basic_camera, camera_to_mocap, make_set, random_rotation_matrix
 from test_refine import near_plane_set
 
 STRONG = DistortionCoeffs(k1=0.3, k2=0.1, p1=1e-3, p2=-1e-3, k3=0.004)
@@ -59,12 +66,14 @@ def stack_with_every_gate():
 class TestStackedEvaluation:
     def test_the_stack_exercises_every_gate(self):
         block, poses = stack_with_every_gate()
-        norms, front, keep = ransac._evaluate_block(
+        sq, front, keep = ransac._evaluate_block(
             block, poses[0].rotation[None], poses[0].translation[None], 6.0
         )
         assert not front.all() and front.any()
         assert keep.any() and not keep[front].all()
-        assert not np.isfinite(norms).all()
+        assert not np.isfinite(sq).all()
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(keep, front & (np.sqrt(sq) < 6.0))
 
     def test_stack_of_five_equals_five_single_calls(self):
         block, poses = stack_with_every_gate()
@@ -169,3 +178,163 @@ class TestNewtonUndistortion:
         # folded root (1.422, 0.881) distorts back onto it.
         corner = np.array([[-0.568, -0.352]])
         assert np.isnan(undistort_normalized(coeffs, corner)).all() == (np.hypot(*corner[0]) > peak)
+
+
+class TestSquaredThreshold:
+    @pytest.mark.parametrize("tau", [6.0, 10.0, 0.1, 1e-3, math.pi, 1e3])
+    def test_squared_test_is_the_root_test(self, tau):
+        t = ransac._squared_threshold(tau)
+        square = tau * tau
+        sq = np.array(
+            [
+                t,
+                math.nextafter(t, 0.0),
+                math.nextafter(t, math.inf),
+                square,
+                math.nextafter(square, 0.0),
+                math.nextafter(square, math.inf),
+                0.0,
+                -0.0,
+                math.inf,
+                math.nan,
+            ]
+        )
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(sq < t, np.sqrt(sq) < tau)
+        assert math.sqrt(math.nextafter(t, 0.0)) < tau <= math.sqrt(t)
+
+    def test_evaluate_block_keeps_exactly_the_residuals_below_tau(self):
+        # The points project onto the principal point (640, 360) exactly, and
+        # each observation lies du pixels left of it, so du and du**2 are exact
+        # for du = 6 and 0; the last point lies behind the camera.
+        offsets = [6.0, 6.0 - 2.0**-40, 6.0 + 2.0**-40, 0.0, 40.0, 0.0]
+        depths = [1.0, 1.0, 1.0, 1.0, 1.0, -1.0]
+        rows = [
+            (0, j, 0, (0.0, 0.0, z), (640.0 - du, 360.0), True)
+            for j, (du, z) in enumerate(zip(offsets, depths))
+        ]
+        block = make_set([basic_camera()], rows, (1, len(rows), 1)).camera_blocks()[0]
+        identity = RigidTransform.identity()
+        sq, front, keep = ransac._evaluate_block(
+            block, identity.rotation[None], identity.translation[None], 6.0
+        )
+        assert sq[0, 0] == 36.0 and sq[0, 3] == 0.0
+        assert keep[0].tolist() == [False, True, False, True, False, False]
+        np.testing.assert_array_equal(keep, front & (np.sqrt(sq) < 6.0))
+
+
+def five_term_distort(coeffs, x, y):
+    """Brown-Conrady distortion with every term, in ``_distort``'s operation order."""
+    k1, k2, p1, p2, k3 = coeffs.as_tuple()
+    r2 = x * x + y * y
+    radial = ((r2 * k3 + k2) * r2 + k1) * r2 + 1.0
+    xd = x * radial + 2.0 * p1 * x * y + (2.0 * x * x + r2) * p2
+    yd = y * radial + (2.0 * y * y + r2) * p1 + 2.0 * p2 * x * y
+    return xd, yd
+
+
+def five_term_terms(coeffs, x, y):
+    """The radial factor and Jacobian entries with every term."""
+    k1, k2, p1, p2, k3 = coeffs.as_tuple()
+    r2 = x * x + y * y
+    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    dradial = k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2)
+    jxx = radial + 2.0 * x * x * dradial + 2.0 * p1 * y + 6.0 * p2 * x
+    jxy = 2.0 * x * y * dradial + 2.0 * p1 * x + 2.0 * p2 * y
+    jyy = radial + 2.0 * y * y * dradial + 6.0 * p1 * y + 2.0 * p2 * x
+    return radial, jxx, jxy, jyy
+
+
+def two_step_project(camera, rotations, translations, points):
+    """The chain as ``R_c R P`` plus ``R_c t + t_c``, with every skew and distortion term.
+
+    ``points`` is ``(3, N)``; returns ``z``, ``x``, ``y``, ``u`` and ``v``, each ``(H, N)``.
+    """
+    rot = camera.rotation @ rotations
+    trans = (camera.rotation @ translations[:, :, None])[:, :, 0] + camera.translation
+    pts = np.ascontiguousarray(points)
+    cam = (rot.reshape(-1, 3) @ pts).reshape(rotations.shape[0], 3, -1) + trans[:, :, None]
+    z = cam[:, 2]
+    x, y = cam[:, 0] / z, cam[:, 1] / z
+    coeffs = camera.distortion or DistortionCoeffs()
+    xd, yd = five_term_distort(coeffs, x, y)
+    u = camera.fx * xd + camera.skew * yd + camera.cx
+    v = camera.fy * yd + camera.cy
+    return z, x, y, u, v
+
+
+def random_poses(rng, count):
+    rotations = np.stack([random_rotation_matrix(rng) for _ in range(count)])
+    translations = rng.normal(0.0, 0.05, (count, 3))
+    return rotations, translations
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Every zero pattern of (k3, p1, p2), with k1 and k2 always non-zero.
+ZERO_PATTERNS = [
+    DistortionCoeffs(k1=-0.2, k2=0.05, k3=k3, p1=p1, p2=p2)
+    for k3, p1, p2 in itertools.product([0.0, -0.01], [0.0, 1e-3], [0.0, -5e-4])
+]
+
+
+class TestZeroTermsKeepTheBits:
+    """A skipped zero term changes no finite non-zero value: inputs here have no zeros."""
+
+    @pytest.mark.parametrize("coeffs", ZERO_PATTERNS, ids=str)
+    def test_distortion_and_its_jacobian(self, coeffs, rng):
+        x, y = rng.uniform(-0.6, 0.6, (2, 3, 400))
+        assert_same_bytes(_distort(coeffs, x.copy(), y.copy()), five_term_distort(coeffs, x, y))
+        assert_same_bytes(_distortion_terms(coeffs, x, y), five_term_terms(coeffs, x, y))
+
+    @pytest.mark.parametrize("skew", [0.0, 2.5])
+    @pytest.mark.parametrize("coeffs", ZERO_PATTERNS + [None], ids=str)
+    def test_projection(self, coeffs, skew, rng):
+        intrinsics = BASIC_K.copy()
+        intrinsics[0, 1] = skew
+        camera = CameraModel(
+            intrinsics, random_rotation_matrix(rng), rng.normal(0.0, 0.1, 3), distortion=coeffs
+        )
+        rotations, translations = random_poses(rng, 5)
+        in_cam = np.column_stack([rng.uniform(-1.0, 1.0, (300, 2)), rng.uniform(2.0, 6.0, 300)])
+        # MoCap points that lie in front of the camera under the first pose.
+        rc = camera.rotation @ rotations[0]
+        tc = camera.rotation @ translations[0] + camera.translation
+        points = ((in_cam - tc) @ rc).T
+        q = np.empty((4, points.shape[1]))
+        q[:3] = points
+        q[3] = 1.0
+        got = project_stacked(camera, rotations, translations, q)
+        want = two_step_project(camera, rotations, translations, points)
+        assert all(np.isfinite(a).all() for a in want)
+        assert_same_bytes(got, want)
+
+
+class TestHomogeneousProduct:
+    """``[R|t] @ Q`` has the bits of ``R @ P + t`` for N >= 2, whole or sliced.
+
+    At N = 1 NumPy takes a matrix-vector path instead, whose bits may
+    differ; ``ransac._score_blocks`` never splits off such a segment.
+    """
+
+    @pytest.mark.parametrize("n_poses", [1, 8, 13])
+    def test_whole_blocks_and_column_slices(self, n_poses, rng):
+        synth = generate(SynthConfig(n_cameras=2, n_frames=100, outlier_fraction=0.2, seed=5))
+        for block in synth.correspondences.camera_blocks():
+            n = block.entry_ids.size
+            rotations, translations = random_poses(rng, n_poses)
+            rotations[0] = synth.gt_extrinsic.rotation
+            translations[0] = synth.gt_extrinsic.translation
+            for lo, hi in [(0, n), (0, 2), (5, 7), (3, 515), (517, 1541), (100, n), (n - 2, n)]:
+                got = project_stacked(
+                    block.camera, rotations, translations, block.homogeneous[:, lo:hi]
+                )
+                want = two_step_project(
+                    block.camera, rotations, translations, block.points3d[lo:hi].T
+                )
+                assert got[0].shape == (n_poses, hi - lo)
+                assert_same_bytes(got[:3], want[:3])
