@@ -268,7 +268,7 @@ def rotation_to_euler(rotation: np.ndarray) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
-def _distort(coeffs: DistortionCoeffs, x: np.ndarray, y: np.ndarray):
+def _distort(coeffs: DistortionCoeffs, x: np.ndarray, y: np.ndarray, terms: bool = False):
     """Brown-Conrady distortion of normalized coordinates given as separate arrays.
 
     Evaluates ``r2 = x x + y y``, ``radial = 1 + r2 (k1 + r2 (k2 + r2 k3))``,
@@ -280,6 +280,11 @@ def _distort(coeffs: DistortionCoeffs, x: np.ndarray, y: np.ndarray):
     are; every term that is evaluated is evaluated operation for operation,
     left to right, so the result has the bits of the five-term form
     wherever that is finite and non-zero.
+
+    Returns ``(xd, yd)``, or with ``terms`` ``(xd, yd, r2, radial)``: then
+    ``yd`` gets an array of its own instead of overwriting ``radial``, and
+    :func:`_distortion_terms` takes both values as they are, since it
+    would compute the same bits.
     """
     k1, k2, p1, p2, k3 = coeffs.as_tuple()
     r2 = x * x
@@ -295,7 +300,7 @@ def _distort(coeffs: DistortionCoeffs, x: np.ndarray, y: np.ndarray):
     radial *= r2
     radial += 1.0
     xd = x * radial
-    yd = np.multiply(y, radial, out=radial)
+    yd = y * radial if terms else np.multiply(y, radial, out=radial)
     if p1 or p2:
         np.multiply(2.0 * p1, x, out=tmp)
         tmp *= y
@@ -313,7 +318,7 @@ def _distort(coeffs: DistortionCoeffs, x: np.ndarray, y: np.ndarray):
         np.multiply(2.0 * p2, x, out=tmp)
         tmp *= y
         yd += tmp
-    return xd, yd
+    return (xd, yd, r2, radial) if terms else (xd, yd)
 
 
 def distort_normalized(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray:
@@ -350,10 +355,10 @@ def undistort_normalized(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray
             if active.size == 0:
                 break
             x, y = current[active, 0], current[active, 1]
-            xd, yd = _distort(coeffs, x, y)
+            xd, yd, r2, radial = _distort(coeffs, x, y, terms=True)
             rx = xd - target[active, 0]
             ry = yd - target[active, 1]
-            _, jxx, jxy, jyy = _distortion_terms(coeffs, x, y)
+            _, jxx, jxy, jyy = _distortion_terms(coeffs, x, y, r2, radial)
             det = jxx * jyy - jxy * jxy
             dx = (jyy * rx - jxy * ry) / det
             dy = (jxx * ry - jxy * rx) / det
@@ -364,29 +369,38 @@ def undistort_normalized(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray
             settled = np.maximum(np.abs(dx), np.abs(dy)) < UNDISTORT_STEP_TOL
             active = active[finite & ~settled]
         x, y = current[:, 0], current[:, 1]
-        xd, yd = _distort(coeffs, x, y)
+        xd, yd, r2, radial = _distort(coeffs, x, y, terms=True)
         miss = np.maximum(np.abs(xd - target[:, 0]), np.abs(yd - target[:, 1]))
-        radial, jxx, jxy, jyy = _distortion_terms(coeffs, x, y)
+        _, jxx, jxy, jyy = _distortion_terms(coeffs, x, y, r2, radial)
         unfolded = (radial > 0.0) & (jxx * jyy - jxy * jxy > 0.0)
         current[~((miss <= UNDISTORT_RESIDUAL_TOL) & unfolded)] = np.nan
     return current.reshape(distorted.shape)
 
 
-def _distortion_terms(coeffs: DistortionCoeffs, x: np.ndarray, y: np.ndarray):
+def _distortion_terms(
+    coeffs: DistortionCoeffs,
+    x: np.ndarray,
+    y: np.ndarray,
+    r2: Optional[np.ndarray] = None,
+    radial: Optional[np.ndarray] = None,
+):
     """Radial factor and the distinct Jacobian entries ``jxx``, ``jxy``, ``jyy``.
 
     The Jacobian of the distortion map at ``(x, y)`` is symmetric, so these
     three terms are all of it. As in :func:`_distort`, the ``k3`` terms are
     skipped when ``k3`` is 0 and the tangential ones when ``p1`` and ``p2``
-    both are, and the rest keep the five-term form's order.
+    both are, and the rest keep the five-term form's order. ``r2`` and
+    ``radial``, given together, are what :func:`_distort` with ``terms``
+    returned at the same points, and are used as they are: that order
+    gives them the bits of ``x x + y y`` and ``1 + r2 (k1 + r2 (k2 + r2
+    k3))``, since IEEE addition and multiplication commute.
     """
     k1, k2, p1, p2, k3 = coeffs.as_tuple()
-    r2 = x * x + y * y
-    if k3:
-        poly, dpoly = k2 + r2 * k3, 2.0 * k2 + 3.0 * k3 * r2
-    else:
-        poly, dpoly = k2, 2.0 * k2
-    radial = 1.0 + r2 * (k1 + r2 * poly)
+    if r2 is None:
+        r2 = x * x + y * y
+        poly = k2 + r2 * k3 if k3 else k2
+        radial = 1.0 + r2 * (k1 + r2 * poly)
+    dpoly = 2.0 * k2 + 3.0 * k3 * r2 if k3 else 2.0 * k2
     dradial = k1 + r2 * dpoly
     jxx = radial + 2.0 * x * x * dradial
     jxy = 2.0 * x * y * dradial
@@ -419,8 +433,12 @@ def pixel_bearings(camera: CameraModel, pixels: np.ndarray) -> np.ndarray:
 
 
 def project_stacked(
-    camera: CameraModel, rotations: np.ndarray, translations: np.ndarray, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    camera: CameraModel,
+    rotations: np.ndarray,
+    translations: np.ndarray,
+    points: np.ndarray,
+    terms: bool = False,
+) -> tuple:
     """Project homogeneous MoCap points ``(4, N)`` under H poses through ``camera``.
 
     ``points`` is a C-ordered matrix with rows X, Y, Z and 1, or a column
@@ -441,6 +459,10 @@ def project_stacked(
     ``u = fx xd + skew yd + cx`` (the skew term skipped when skew is 0) and
     ``v = fy yd + cy``. Points on the principal plane get non-finite
     coordinates; callers gate on ``z``.
+
+    With ``terms`` it also returns distortion's ``r2`` and radial factor,
+    ``(H, N)`` each and ``None`` without distortion, for
+    :func:`_distortion_terms` to reuse (see :func:`_distort`).
     """
     n_poses = rotations.shape[0]
     pose = np.empty((3, n_poses, 4))
@@ -451,14 +473,20 @@ def project_stacked(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.divide(cam[0], z, out=cam[0])
         y = np.divide(cam[1], z, out=cam[1])
-        xd, yd = (x, y) if camera.distortion is None else _distort(camera.distortion, x, y)
+        r2 = radial = None
+        if camera.distortion is None:
+            xd, yd = x, y
+        elif terms:
+            xd, yd, r2, radial = _distort(camera.distortion, x, y, terms=True)
+        else:
+            xd, yd = _distort(camera.distortion, x, y)
         u = camera.fx * xd
         if camera.skew:
             u += camera.skew * yd
         u += camera.cx
         v = camera.fy * yd
         v += camera.cy
-    return z, x, y, u, v
+    return (z, x, y, u, v, r2, radial) if terms else (z, x, y, u, v)
 
 
 def project_points(

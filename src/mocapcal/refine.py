@@ -6,12 +6,14 @@ translation. The forward pass runs the stacked projection chain of
 :mod:`mocapcal.geometry` with one pose, the code RANSAC scoring and every
 evaluation run, so refinement and evaluation agree on which points lie in
 front of a camera. Gradients are analytic: the pixel residual is chained
-back through the intrinsics, the distortion Jacobian and the perspective
-division to one camera-frame vector per entry, the rows of ``W``; a zero
-skew adds no term to that pull-back. One ``(3, 4)`` product ``W @ Q.T``,
-with ``Q`` the camera block's homogeneous matrix (rows X, Y, Z and 1),
-the one the forward pass projects, gives both the moment the angle
-gradients contract with and the column sums of the translation gradient.
+back through the intrinsics, the distortion Jacobian (built on the
+squared radius and radial factor the forward pass computed) and the
+perspective division to one camera-frame vector per entry, the rows of
+``W``; a zero skew adds no term to that pull-back. One ``(3, 4)``
+product ``W @ Q.T``, with ``Q`` the camera block's homogeneous matrix
+(rows X, Y, Z and 1), the one the forward pass projects, gives both the
+moment the angle gradients contract with and the column sums of the
+translation gradient.
 The loss and that product use NumPy's pairwise and BLAS's blocked sums,
 not a sequential one. Updates use Adam with the standard decay rates and
 guard, separate learning rates for the angle and translation blocks, and
@@ -154,8 +156,9 @@ def _loss_and_gradient_on_blocks(blocks: Sequence[CameraBlock], pose: EulerPose)
     active = 0
     for block in blocks:
         cam, q, obs = block.camera, block.homogeneous, block.points2d.T
-        z, xn, yn, u, v = (
-            coord[0] for coord in project_stacked(cam, rot[None], trans[None], q)
+        z, xn, yn, u, v, r2, radial = (
+            None if coord is None else coord[0]
+            for coord in project_stacked(cam, rot[None], trans[None], q, terms=True)
         )
         front = z > 0.0
         count = int(np.count_nonzero(front))
@@ -164,6 +167,8 @@ def _loss_and_gradient_on_blocks(blocks: Sequence[CameraBlock], pose: EulerPose)
         if count < z.size:
             q, obs = q[:, front], obs[:, front]
             z, xn, yn, u, v = z[front], xn[front], yn[front], u[front], v[front]
+            if radial is not None:
+                r2, radial = r2[front], radial[front]
         du = np.subtract(u, obs[0], out=u)
         dv = np.subtract(v, obs[1], out=v)
         sq = du * du
@@ -179,7 +184,7 @@ def _loss_and_gradient_on_blocks(blocks: Sequence[CameraBlock], pose: EulerPose)
         if cam.skew:
             pr1 += cam.skew * du
         if cam.distortion is not None:
-            _, jxx, jxy, jyy = _distortion_terms(cam.distortion, xn, yn)
+            _, jxx, jxy, jyy = _distortion_terms(cam.distortion, xn, yn, r2, radial)
             pr0, pr1 = jxx * pr0 + jxy * pr1, jxy * pr0 + jyy * pr1
         w = np.empty((3, count))
         np.divide(pr0, z, out=w[0])

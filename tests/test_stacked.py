@@ -291,6 +291,16 @@ class TestZeroTermsKeepTheBits:
         assert_same_bytes(_distort(coeffs, x.copy(), y.copy()), five_term_distort(coeffs, x, y))
         assert_same_bytes(_distortion_terms(coeffs, x, y), five_term_terms(coeffs, x, y))
 
+    @pytest.mark.parametrize("coeffs", ZERO_PATTERNS, ids=str)
+    def test_shared_radial_terms(self, coeffs, rng):
+        # The forward pass hands r2 and the radial factor to the Jacobian.
+        x, y = rng.uniform(-0.6, 0.6, (2, 3, 400))
+        xd, yd, r2, radial = _distort(coeffs, x.copy(), y.copy(), terms=True)
+        assert_same_bytes((xd, yd), five_term_distort(coeffs, x, y))
+        assert_same_bytes((r2,), (x * x + y * y,))
+        shared = _distortion_terms(coeffs, x, y, r2, radial)
+        assert_same_bytes(shared, five_term_terms(coeffs, x, y))
+
     @pytest.mark.parametrize("skew", [0.0, 2.5])
     @pytest.mark.parametrize("coeffs", ZERO_PATTERNS + [None], ids=str)
     def test_projection(self, coeffs, skew, rng):
@@ -312,6 +322,13 @@ class TestZeroTermsKeepTheBits:
         want = two_step_project(camera, rotations, translations, points)
         assert all(np.isfinite(a).all() for a in want)
         assert_same_bytes(got, want)
+        *chain, r2, radial = project_stacked(camera, rotations, translations, q, terms=True)
+        assert_same_bytes(chain, want)
+        if coeffs is None:
+            assert r2 is None and radial is None
+        else:
+            x, y = want[1], want[2]
+            assert_same_bytes((r2, radial), (x * x + y * y, five_term_terms(coeffs, x, y)[0]))
 
 
 class TestHomogeneousProduct:
