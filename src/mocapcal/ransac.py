@@ -17,10 +17,11 @@ what it returns and take the square root only of the residuals they sum.
 
 The work is done in bulk. Every valid pixel's bearing is computed once
 per run, and each iteration indexes the three it samples; a sample with a
-pixel the distortion model cannot invert is degenerate. Samples are drawn
-per iteration but solved per chunk: the samples of ``_SAMPLE_ITERATIONS``
-consecutive iterations go through one batch P3P call, and their MoCap
-poses come out of one stacked product per camera. The solutions of
+pixel the distortion model cannot invert is degenerate. Every
+iteration's sample is drawn up front, before any is solved, and solved
+per chunk: the samples of ``_SAMPLE_ITERATIONS`` consecutive iterations
+go through one batch P3P call, and their MoCap poses come out of one
+stacked product per camera. The solutions of
 ``_SCORE_ITERATIONS`` consecutive iterations are scored together on the
 stacked projection chain (the batching of preemptive RANSAC, Nister
 2005), each camera block in segments. After each segment a hypothesis is
@@ -30,9 +31,12 @@ bail-out test for RANSAC consensus scoring", BMVC 2005) in its exact
 form, without the statistics, so the winner is the one full scoring
 would pick. Only the winner becomes a :class:`RigidTransform`.
 
-Each iteration draws its sample from its own RNG substream, seeded from
-``(seed, iteration)``, so the result depends neither on how iterations
-are chunked nor, the bail-out test being exact, on the segment sizes.
+A run draws its samples from one RNG stream, the first child spawned
+from its seed, at four uniforms per iteration, all drawn before the
+first chunk. Iteration k's sample depends on row k alone, so the result
+depends neither on how iterations are chunked nor, the bail-out test
+being exact, on the segment sizes, and a longer run extends a shorter
+one.
 """
 
 from __future__ import annotations
@@ -397,17 +401,55 @@ class Hypothesis:
     source: tuple[int, int]
 
 
-def _sample_groups(cset: CorrespondenceSet) -> list[np.ndarray]:
-    """Entry-id groups per (camera, frame) pair with at least three joints."""
+def _sample_groups(cset: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (camera, frame) groups with at least three valid joints, as flat arrays.
+
+    Returns the valid entry ids sorted by camera, then frame, in storage
+    order within each pair, and the start and size in that array of each
+    group with three or more entries, in the same order.
+    """
     valid_ids = np.flatnonzero(cset.valid)
     keys = cset.cam_indices[valid_ids] * cset.dims[2] + cset.frame_indices[valid_ids]
     order = np.argsort(keys, kind="stable")
-    _, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
-    return [
-        valid_ids[order[start : start + count]]
-        for start, count in zip(starts, counts)
-        if count >= 3
-    ]
+    _, starts, sizes = np.unique(keys[order], return_index=True, return_counts=True)
+    full = sizes >= 3
+    return valid_ids[order], starts[full], sizes[full]
+
+
+def _sample_draws(seed: int, iterations: int) -> np.ndarray:
+    """Uniform draws in [0, 1), one row of four per iteration, for a run seeded ``seed``.
+
+    They come from the first child spawned from ``SeedSequence(seed)``, not
+    from a generator seeded with ``seed`` itself: that stream, which the
+    seed ``(seed, 0)`` also gives since a seed sequence ignores trailing
+    zero words, is the one a synthetic session drawn with the same seed
+    used. The array is filled row by row, so a run with more iterations
+    extends a shorter one.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return rng.random((iterations, 4))
+
+
+def _sample_ids(groups: tuple[np.ndarray, ...], draws: np.ndarray) -> np.ndarray:
+    """Entry ids (K, 3) of the minimal samples that ``draws`` (K, 4) pick.
+
+    Column 0 picks a group uniformly. Columns 1 to 3 pick three distinct
+    positions in it: the first among its n entries, the second among n - 1
+    and the third among n - 2, each shifted past the positions picked
+    before it, so every ordered triple is equally likely. Row k's sample
+    depends on row k alone. A draw below 1 times a count m below 2**53
+    rounds to a double below m, so every pick is in range.
+    """
+    ids, starts, sizes = groups
+    group = (draws[:, 0] * starts.size).astype(np.int64)
+    n = sizes[group]
+    first = (draws[:, 1] * n).astype(np.int64)
+    second = (draws[:, 2] * (n - 1)).astype(np.int64)
+    second += second >= first
+    third = (draws[:, 3] * (n - 2)).astype(np.int64)
+    third += third >= np.minimum(first, second)
+    third += third >= np.maximum(first, second)
+    return ids[starts[group, None] + np.column_stack((first, second, third))]
 
 
 # Candidate ordering: more inliers, then lower mean residual. Stored as a
@@ -428,26 +470,22 @@ def _entry_bearings(cset: CorrespondenceSet) -> np.ndarray:
 
 def _sample_chunk(
     cset: CorrespondenceSet,
-    groups: list[np.ndarray],
+    samples: np.ndarray,
     bearings: np.ndarray,
-    seed: int,
     start: int,
     stop: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """MoCap poses solved from the minimal samples of iterations ``[start, stop)``.
 
-    Each iteration draws its sample from its own RNG substream; then all of
-    them are solved in one :func:`mocapcal.p3p.solve_p3p_batch` call. A
-    sample is degenerate, and yields nothing, when P3P rejects it or when
-    one of its pixels has no bearing (NaN: the distortion model cannot be
-    inverted there). Returns each solution's iteration and solution index
-    and the stacked rotations (S, 3, 3) and translations (S, 3).
+    ``samples`` holds every iteration's three entry ids, a row each. The
+    chunk's rows are solved in one :func:`mocapcal.p3p.solve_p3p_batch`
+    call. A sample is degenerate, and yields nothing, when P3P rejects it
+    or when one of its pixels has no bearing (NaN: the distortion model
+    cannot be inverted there). Returns each solution's iteration and
+    solution index and the stacked rotations (S, 3, 3) and translations
+    (S, 3).
     """
-    ids = np.empty((stop - start, 3), dtype=np.int64)
-    for row, k in enumerate(range(start, stop)):
-        rng = np.random.default_rng((seed, k))
-        group_ids = groups[int(rng.integers(len(groups)))]
-        ids[row] = group_ids[rng.choice(group_ids.size, size=3, replace=False)]
+    ids = samples[start:stop]
     batch = solve_p3p_batch(cset.points3d[ids], bearings[ids])
     counts = batch.counts
     iterations = np.repeat(np.arange(start, stop), counts)
@@ -473,25 +511,28 @@ def run_ransac(
 
     Every iteration draws a (camera, frame) pair uniformly among those
     with at least three valid joints, then three distinct joints within
-    it, from its own RNG substream, and indexes their bearings, computed
-    once per run. The samples of ``_SAMPLE_ITERATIONS`` consecutive
-    iterations are solved in one batch; degenerate samples and rootless
-    quartics consume their iteration. The solutions of
-    ``_SCORE_ITERATIONS`` consecutive iterations are scored in one pass,
-    bounded by the best count so far: a solution is dropped, and gets no
-    mean, once it can no longer reach that count, so ties still go to the
-    mean. Neither chunk size nor the bound changes the result.
+    it, and indexes their bearings, computed once per run. All iterations'
+    draws are made up front, a row of four uniforms each, from one stream
+    spawned from ``cfg.seed`` (see :func:`_sample_draws`), so iteration
+    k's sample is the same whatever the iteration count. The samples of
+    ``_SAMPLE_ITERATIONS`` consecutive iterations are solved in one batch;
+    degenerate samples and rootless quartics consume their iteration. The
+    solutions of ``_SCORE_ITERATIONS`` consecutive iterations are scored
+    in one pass, bounded by the best count so far: a solution is dropped,
+    and gets no mean, once it can no longer reach that count, so ties
+    still go to the mean. Neither chunk size nor the bound changes the
+    result.
     Ties are broken by mean inlier residual, then by iteration order.
     ``workers`` has no effect: the search runs one sequential path. It is
-    accepted only because the benchmark's per-layer probe still passes it
-    (ROADMAP item 3); it goes when that probe does.
+    accepted only because the benchmark's per-layer probe still passes it;
+    it goes when that probe does.
 
     Raises :class:`NoValidSampleError` when nothing can be sampled and
     :class:`InsufficientConsensusError` when the best hypothesis explains
     less than ``min_inlier_ratio`` of the scored entries.
     """
     groups = _sample_groups(cset)
-    if not groups:
+    if not groups[1].size:
         raise NoValidSampleError(
             "no (camera, frame) pair has three valid correspondences"
         )
@@ -503,10 +544,11 @@ def run_ransac(
         )
 
     bearings = _entry_bearings(cset)
+    samples = _sample_ids(groups, _sample_draws(cfg.seed, cfg.iterations))
     best = None
     for first in range(0, cfg.iterations, _SAMPLE_ITERATIONS):
         last = min(first + _SAMPLE_ITERATIONS, cfg.iterations)
-        iters, sols, rots, transs = _sample_chunk(cset, groups, bearings, cfg.seed, first, last)
+        iters, sols, rots, transs = _sample_chunk(cset, samples, bearings, first, last)
         edges = np.searchsorted(iters, range(first, last, _SCORE_ITERATIONS)).tolist()
         for lo, hi in zip(edges, edges[1:] + [iters.size]):
             if lo == hi:

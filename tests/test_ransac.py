@@ -338,11 +338,30 @@ class TestRunRansac:
         assert recount.mean_residual == hyp.mean_inlier_residual
 
 
-def per_iteration_poses(cset, groups, bearings, seed, k):
-    """Iteration ``k``'s MoCap poses, drawn and solved one sample at a time."""
-    rng = np.random.default_rng((seed, k))
-    group_ids = groups[int(rng.integers(len(groups)))]
-    entry_ids = group_ids[rng.choice(group_ids.size, size=3, replace=False)]
+def scalar_sample(groups, row):
+    """The entry ids one row of draws picks, one scalar at a time."""
+    ids, starts, sizes = groups
+    group = int(row[0] * len(starts))
+    n = int(sizes[group])
+    first = int(row[1] * n)
+    second = int(row[2] * (n - 1))
+    if second >= first:
+        second += 1
+    third = int(row[3] * (n - 2))
+    for earlier in sorted((first, second)):
+        if third >= earlier:
+            third += 1
+    return ids[int(starts[group]) + np.array([first, second, third])]
+
+
+def drawn_samples(cset, seed, iterations):
+    """Every iteration's sample for a run of ``iterations`` seeded ``seed``."""
+    return ransac._sample_ids(ransac._sample_groups(cset), ransac._sample_draws(seed, iterations))
+
+
+def per_iteration_poses(cset, groups, bearings, row):
+    """The MoCap poses of one row of draws, sampled and solved one at a time."""
+    entry_ids = scalar_sample(groups, row)
     cam = cset.cameras[int(cset.cam_indices[entry_ids[0]])]
     if not np.isfinite(bearings[entry_ids]).all():
         return ()
@@ -372,16 +391,90 @@ SAMPLE_SESSIONS = {
 }
 
 
+def grouped_set():
+    """Two cameras, three frames and seven joints, stored in shuffled order.
+
+    The (camera, frame) pairs have 3, 5, 0, 2, 0 and 6 valid joints.
+    """
+    valid_joints = {(0, 0): 3, (0, 1): 5, (0, 2): 0, (1, 0): 2, (1, 1): 0, (1, 2): 6}
+    rows = [
+        (c, j, t, (0.1 * j, 0.1 * t, 3.0), (600.0 + j, 300.0 + t), j < valid_joints[c, t])
+        for (c, t) in valid_joints
+        for j in range(7)
+    ]
+    order = np.random.default_rng(0).permutation(len(rows))
+    return make_set([basic_camera(), basic_camera()], [rows[i] for i in order], dims=(2, 7, 3))
+
+
+class TestSampleDraws:
+    def test_a_longer_run_extends_a_shorter_one(self):
+        groups = ransac._sample_groups(grouped_set())
+        short, long = ransac._sample_draws(5, 300), ransac._sample_draws(5, 1000)
+        assert short.shape == (300, 4) and long.shape == (1000, 4)
+        assert short.tobytes() == long[:300].tobytes()
+        assert np.array_equal(ransac._sample_ids(groups, short), ransac._sample_ids(groups, long)[:300])
+
+    @pytest.mark.parametrize("name", ["grouped", "distorted_mono"])
+    def test_three_distinct_valid_joints_of_one_group(self, name):
+        if name == "grouped":
+            cset = grouped_set()
+        else:
+            cset = generate(SynthConfig(n_joints=17, seed=4, **SAMPLE_SESSIONS[name])).correspondences
+        samples = drawn_samples(cset, 3, 5000)
+        assert samples.shape == (5000, 3)
+        assert (samples[:, 0] != samples[:, 1]).all()
+        assert (samples[:, 0] != samples[:, 2]).all() and (samples[:, 1] != samples[:, 2]).all()
+        assert cset.valid[samples].all()
+        for column in (cset.cam_indices, cset.frame_indices):
+            assert (column[samples] == column[samples[:, :1]]).all()
+        pairs = np.column_stack((cset.cam_indices, cset.frame_indices))
+        for cam, frame in {tuple(pair) for pair in pairs[samples[:, 0]].tolist()}:
+            in_pair = cset.valid & (cset.cam_indices == cam) & (cset.frame_indices == frame)
+            assert np.count_nonzero(in_pair) >= 3
+
+    def test_groups_and_positions_are_uniform(self):
+        cset = grouped_set()
+        ids, starts, sizes = groups = ransac._sample_groups(cset)
+        assert sizes.tolist() == [3, 5, 6]
+        n_draws = 600_000
+        samples = ransac._sample_ids(groups, ransac._sample_draws(11, n_draws))
+        group_of = np.full(cset.n_entries, -1)
+        position = np.full(cset.n_entries, -1)
+        for g, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+            group_of[ids[start : start + size]] = g
+            position[ids[start : start + size]] = np.arange(size)
+        group = group_of[samples[:, 0]]
+        per_group = np.bincount(group, minlength=3)
+        np.testing.assert_allclose(per_group, n_draws / 3, rtol=0.03)
+        for g, size in enumerate(sizes.tolist()):
+            in_group = position[samples[group == g]]
+            for slot in range(3):
+                counts = np.bincount(in_group[:, slot], minlength=size)
+                np.testing.assert_allclose(counts, per_group[g] / size, rtol=0.03)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_a_spawned_child_not_the_seeds_own_stream(self, seed):
+        # A synthetic session drawn with the same seed uses default_rng(seed),
+        # which default_rng((seed, 0)) repeats.
+        draws = ransac._sample_draws(seed, 100)
+        child = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        assert draws.tobytes() == child.random((100, 4)).tobytes()
+        for stream in (np.random.default_rng(seed), np.random.default_rng((seed, 0))):
+            assert not np.isin(draws, stream.random(4000)).any()
+
+
 class TestSampleChunk:
     @pytest.mark.parametrize("name", list(SAMPLE_SESSIONS))
     def test_equals_per_iteration_solves(self, name):
         cset = generate(SynthConfig(n_joints=17, seed=4, **SAMPLE_SESSIONS[name])).correspondences
         groups = ransac._sample_groups(cset)
         bearings = ransac._entry_bearings(cset)
-        iters, sols, rots, trans = ransac._sample_chunk(cset, groups, bearings, 9, 100, 600)
+        draws = ransac._sample_draws(9, 600)
+        samples = ransac._sample_ids(groups, draws)
+        iters, sols, rots, trans = ransac._sample_chunk(cset, samples, bearings, 100, 600)
         want = []
         for k in range(100, 600):
-            for l, pose in enumerate(per_iteration_poses(cset, groups, bearings, 9, k)):
+            for l, pose in enumerate(per_iteration_poses(cset, groups, bearings, draws[k])):
                 want.append(((k, l), pose.rotation.tobytes(), pose.translation.tobytes()))
         got = [
             ((k, l), r.tobytes(), t.tobytes())
@@ -409,10 +502,10 @@ def unbounded_score(blocks, rotations, translations, tau):
 
 def unbounded_ransac(cset, cfg):
     """The winner's source, count, mean and pose bytes when every pose is scored in full."""
-    groups = ransac._sample_groups(cset)
+    samples = drawn_samples(cset, cfg.seed, cfg.iterations)
     bearings = ransac._entry_bearings(cset)
     blocks = cset.camera_blocks(stride=cfg.coarse_stride)
-    iters, sols, rots, trans = ransac._sample_chunk(cset, groups, bearings, cfg.seed, 0, cfg.iterations)
+    iters, sols, rots, trans = ransac._sample_chunk(cset, samples, bearings, 0, cfg.iterations)
     best = None
     for lo in range(0, iters.size, 16):
         totals, means = unbounded_score(blocks, rots[lo : lo + 16], trans[lo : lo + 16], cfg.tau)
@@ -455,9 +548,8 @@ BOUNDED_SESSIONS = {
 def sampled_poses(synth, n_poses, seed=9):
     """The first ``n_poses`` MoCap poses RANSAC would score on ``synth``, plus its ground truth."""
     cset = synth.correspondences
-    groups = ransac._sample_groups(cset)
     _, _, rots, trans = ransac._sample_chunk(
-        cset, groups, ransac._entry_bearings(cset), seed, 0, n_poses
+        cset, drawn_samples(cset, seed, n_poses), ransac._entry_bearings(cset), 0, n_poses
     )
     gt = synth.gt_extrinsic
     rots = np.concatenate([rots[: n_poses - 1], gt.rotation[None]])
