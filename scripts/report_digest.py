@@ -28,7 +28,10 @@ session name. ``--against FILE`` compares the reports with such a dump and
 prints each field that differs (dotted path, list items folded into their
 list) with the number of sessions it differs in and its largest absolute
 and relative difference, a field one side lacks as ``only in this run``
-or ``only in reference`` with its session count, or ``identical``. A
+or ``only in reference`` with its session count, or ``identical``. With
+``--against`` the script exits 1 when any field differs or exists on one
+side only, and 0 when the reports are identical, so it serves as a
+byte-identity gate as it is; there is no flag for this. A
 dump written with ``PYTHONPATH`` pointing at another checkout's ``src/``
 shows what a change moved in the reports.
 
@@ -42,6 +45,7 @@ import itertools
 import json
 import math
 import re
+import sys
 
 from mocapcal import (
     CameraModel,
@@ -227,6 +231,8 @@ def main():
         with open(args.against, encoding="utf-8") as fh:
             lines = compare(docs, json.load(fh))
         print("\n".join(lines) if lines else "identical")
+        if lines:
+            sys.exit(1)
 
 
 if __name__ == "__main__":

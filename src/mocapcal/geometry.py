@@ -282,9 +282,20 @@ def _distort(coeffs: DistortionCoeffs, x: np.ndarray, y: np.ndarray, terms: bool
     wherever that is finite and non-zero.
 
     Returns ``(xd, yd)``, or with ``terms`` ``(xd, yd, r2, radial)``: then
-    ``yd`` gets an array of its own instead of overwriting ``radial``, and
-    :func:`_distortion_terms` takes both values as they are, since it
-    would compute the same bits.
+    ``yd`` gets an array of its own instead of overwriting ``radial``, for
+    :func:`_distortion_terms` to reuse; they have the bits of
+    ``x x + y y`` and ``1 + r2 (k1 + r2 (k2 + r2 k3))``, since IEEE
+    addition and multiplication commute.
+
+    ``terms`` stays a switch because scoring is faster without it. A
+    version that always returned ``r2`` and the radial factor, writing
+    ``yd`` into the ``y y`` temporary instead, gave the same reports but
+    took 228-266 ms per ``calibrate`` on a one-camera pincushion session
+    (the benchmark's ``distorted_mono`` shape) against 214-231 ms with the
+    switch, about 7 % slower over 7 seeds run in alternating order on
+    2 vCPUs: ``r2`` and the radial factor then stay alive through every
+    scoring pass. Writing ``u`` and ``v`` over ``xd`` and ``yd`` did not
+    win the time back.
     """
     k1, k2, p1, p2, k3 = coeffs.as_tuple()
     r2 = x * x
@@ -358,7 +369,7 @@ def undistort_normalized(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray
             xd, yd, r2, radial = _distort(coeffs, x, y, terms=True)
             rx = xd - target[active, 0]
             ry = yd - target[active, 1]
-            _, jxx, jxy, jyy = _distortion_terms(coeffs, x, y, r2, radial)
+            jxx, jxy, jyy = _distortion_terms(coeffs, x, y, r2, radial)
             det = jxx * jyy - jxy * jxy
             dx = (jyy * rx - jxy * ry) / det
             dy = (jxx * ry - jxy * rx) / det
@@ -371,35 +382,24 @@ def undistort_normalized(coeffs: DistortionCoeffs, xy: np.ndarray) -> np.ndarray
         x, y = current[:, 0], current[:, 1]
         xd, yd, r2, radial = _distort(coeffs, x, y, terms=True)
         miss = np.maximum(np.abs(xd - target[:, 0]), np.abs(yd - target[:, 1]))
-        _, jxx, jxy, jyy = _distortion_terms(coeffs, x, y, r2, radial)
+        jxx, jxy, jyy = _distortion_terms(coeffs, x, y, r2, radial)
         unfolded = (radial > 0.0) & (jxx * jyy - jxy * jxy > 0.0)
         current[~((miss <= UNDISTORT_RESIDUAL_TOL) & unfolded)] = np.nan
     return current.reshape(distorted.shape)
 
 
 def _distortion_terms(
-    coeffs: DistortionCoeffs,
-    x: np.ndarray,
-    y: np.ndarray,
-    r2: Optional[np.ndarray] = None,
-    radial: Optional[np.ndarray] = None,
+    coeffs: DistortionCoeffs, x: np.ndarray, y: np.ndarray, r2: np.ndarray, radial: np.ndarray
 ):
-    """Radial factor and the distinct Jacobian entries ``jxx``, ``jxy``, ``jyy``.
+    """The distinct Jacobian entries ``jxx``, ``jxy``, ``jyy`` of the distortion map.
 
-    The Jacobian of the distortion map at ``(x, y)`` is symmetric, so these
-    three terms are all of it. As in :func:`_distort`, the ``k3`` terms are
-    skipped when ``k3`` is 0 and the tangential ones when ``p1`` and ``p2``
-    both are, and the rest keep the five-term form's order. ``r2`` and
-    ``radial``, given together, are what :func:`_distort` with ``terms``
-    returned at the same points, and are used as they are: that order
-    gives them the bits of ``x x + y y`` and ``1 + r2 (k1 + r2 (k2 + r2
-    k3))``, since IEEE addition and multiplication commute.
+    The Jacobian at ``(x, y)`` is symmetric, so these three terms are all
+    of it. ``r2`` and ``radial`` are what :func:`_distort` with ``terms``
+    returned at the same points. As there, the ``k3`` terms are skipped
+    when ``k3`` is 0 and the tangential ones when ``p1`` and ``p2`` both
+    are, and the rest keep the five-term form's order.
     """
     k1, k2, p1, p2, k3 = coeffs.as_tuple()
-    if r2 is None:
-        r2 = x * x + y * y
-        poly = k2 + r2 * k3 if k3 else k2
-        radial = 1.0 + r2 * (k1 + r2 * poly)
     dpoly = 2.0 * k2 + 3.0 * k3 * r2 if k3 else 2.0 * k2
     dradial = k1 + r2 * dpoly
     jxx = radial + 2.0 * x * x * dradial
@@ -409,7 +409,7 @@ def _distortion_terms(
         jxx = jxx + 2.0 * p1 * y + 6.0 * p2 * x
         jxy = jxy + 2.0 * p1 * x + 2.0 * p2 * y
         jyy = jyy + 6.0 * p1 * y + 2.0 * p2 * x
-    return radial, jxx, jxy, jyy
+    return jxx, jxy, jyy
 
 
 def pixel_bearings(camera: CameraModel, pixels: np.ndarray) -> np.ndarray:
@@ -462,7 +462,8 @@ def project_stacked(
 
     With ``terms`` it also returns distortion's ``r2`` and radial factor,
     ``(H, N)`` each and ``None`` without distortion, for
-    :func:`_distortion_terms` to reuse (see :func:`_distort`).
+    :func:`_distortion_terms` to reuse (see :func:`_distort` for why this
+    is a switch).
     """
     n_poses = rotations.shape[0]
     pose = np.empty((3, n_poses, 4))

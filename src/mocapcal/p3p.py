@@ -20,7 +20,8 @@ for bit; RANSAC solves its samples with it a chunk of iterations at a time.
 Neither is the other's special case: on a 2-vCPU machine the batch solver
 took about 1.3 ms for K = 1 against about 0.1 ms for the scalar solver,
 drew level near K = 16 and took about 30 us per sample from K = 256 on.
-They share the quartic's coefficients and the deduplication.
+They share the quartic's coefficients, the range Newton step and the
+deduplication.
 """
 
 from __future__ import annotations
@@ -253,28 +254,37 @@ def _real_roots(coeffs) -> list[float]:
     return roots
 
 
-def _polish_ranges(s1, s2, s3, a2, b2, c2, ca, cb, cg):
-    """Newton steps on the three law-of-cosines residuals in (s1, s2, s3).
+def _range_step(s1, s2, s3, a2, b2, c2, ca, cb, cg):
+    """One Newton step on the three law-of-cosines residuals in (s1, s2, s3).
 
-    The Jacobian has a zero diagonal, so the 3x3 solve unrolls to short
-    Cramer expressions; a near-singular Jacobian stops the polish early.
+    Returns the Jacobian determinant ``det`` and the numerators ``d0``,
+    ``d1``, ``d2`` of the step ``s_i -= d_i / det``. The Jacobian has a
+    zero diagonal, so the 3x3 solve unrolls to short Cramer expressions.
+    The arithmetic is elementwise, so it takes floats or arrays alike and
+    serves both solvers.
     """
+    f0 = s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2
+    f1 = s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cb - b2
+    f2 = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cg - c2
+    j01 = 2.0 * (s2 - s3 * ca)
+    j02 = 2.0 * (s3 - s2 * ca)
+    j10 = 2.0 * (s1 - s3 * cb)
+    j12 = 2.0 * (s3 - s1 * cb)
+    j20 = 2.0 * (s1 - s2 * cg)
+    j21 = 2.0 * (s2 - s1 * cg)
+    det = j01 * j12 * j20 + j02 * j10 * j21
+    d0 = -f0 * j12 * j21 + j01 * j12 * f2 + j02 * f1 * j21
+    d1 = f0 * j12 * j20 + j02 * j10 * f2 - j02 * f1 * j20
+    d2 = -j01 * j10 * f2 + j01 * f1 * j20 + f0 * j10 * j21
+    return det, d0, d1, d2
+
+
+def _polish_ranges(s1, s2, s3, a2, b2, c2, ca, cb, cg):
+    """Two :func:`_range_step` steps; a near-singular Jacobian stops the polish early."""
     for _ in range(2):
-        f0 = s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2
-        f1 = s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cb - b2
-        f2 = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cg - c2
-        j01 = 2.0 * (s2 - s3 * ca)
-        j02 = 2.0 * (s3 - s2 * ca)
-        j10 = 2.0 * (s1 - s3 * cb)
-        j12 = 2.0 * (s3 - s1 * cb)
-        j20 = 2.0 * (s1 - s2 * cg)
-        j21 = 2.0 * (s2 - s1 * cg)
-        det = j01 * j12 * j20 + j02 * j10 * j21
+        det, d0, d1, d2 = _range_step(s1, s2, s3, a2, b2, c2, ca, cb, cg)
         if abs(det) < 1e-300:
             break
-        d0 = -f0 * j12 * j21 + j01 * j12 * f2 + j02 * f1 * j21
-        d1 = f0 * j12 * j20 + j02 * j10 * f2 - j02 * f1 * j20
-        d2 = -j01 * j10 * f2 + j01 * f1 * j20 + f0 * j10 * j21
         s1 -= d0 / det
         s2 -= d1 / det
         s3 -= d2 / det
@@ -543,20 +553,8 @@ def _polish_ranges_batch(s1, s2, s3, a2, b2, c2, ca, cb, cg):
     """:func:`_polish_ranges` over arrays; each lane stops on its own."""
     active = np.ones(s1.shape, dtype=bool)
     for _ in range(2):
-        f0 = s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2
-        f1 = s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cb - b2
-        f2 = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cg - c2
-        j01 = 2.0 * (s2 - s3 * ca)
-        j02 = 2.0 * (s3 - s2 * ca)
-        j10 = 2.0 * (s1 - s3 * cb)
-        j12 = 2.0 * (s3 - s1 * cb)
-        j20 = 2.0 * (s1 - s2 * cg)
-        j21 = 2.0 * (s2 - s1 * cg)
-        det = j01 * j12 * j20 + j02 * j10 * j21
+        det, d0, d1, d2 = _range_step(s1, s2, s3, a2, b2, c2, ca, cb, cg)
         active &= ~(np.abs(det) < 1e-300)
-        d0 = -f0 * j12 * j21 + j01 * j12 * f2 + j02 * f1 * j21
-        d1 = f0 * j12 * j20 + j02 * j10 * f2 - j02 * f1 * j20
-        d2 = -j01 * j10 * f2 + j01 * f1 * j20 + f0 * j10 * j21
         s1 = np.where(active, s1 - d0 / det, s1)
         s2 = np.where(active, s2 - d1 / det, s2)
         s3 = np.where(active, s3 - d2 / det, s3)

@@ -29,7 +29,10 @@ dropped once its inliers so far plus the entries still unscored fall
 below the best count so far: the bail-out test of Capel ("An effective
 bail-out test for RANSAC consensus scoring", BMVC 2005) in its exact
 form, without the statistics, so the winner is the one full scoring
-would pick. Only the winner becomes a :class:`RigidTransform`.
+would pick. The scan keeps only the counts and the hypotheses still
+live; those left at its end are scored again, one stacked pass per
+block, for the mean residual that breaks ties. Only the winner becomes
+a :class:`RigidTransform`.
 
 A run draws its samples from one RNG stream, the first child spawned
 from its seed, at four uniforms per iteration, all drawn before the
@@ -81,7 +84,6 @@ class CameraBlock(NamedTuple):
     array, so ``points2d.T`` is contiguous.
     """
 
-    cam_index: int
     camera: CameraModel
     entry_ids: np.ndarray
     points3d: np.ndarray
@@ -205,7 +207,7 @@ class CorrespondenceSet:
                 np.take(self.points3d.T, ids, axis=1, out=q[:3])
                 q[3] = 1.0
                 pts2 = np.take(self.points2d.T, ids, axis=1).T
-                blocks.append(CameraBlock(i, cam, ids, q[:3].T, pts2, q))
+                blocks.append(CameraBlock(cam, ids, q[:3].T, pts2, q))
         return blocks
 
 
@@ -272,14 +274,18 @@ def _score_blocks(
     """Inlier counts of H poses, and the mean inlier residual of those reaching ``bound``.
 
     Scores the H poses ``rotations`` (H, 3, 3) and ``translations`` (H, 3)
-    block by block, and each block in segments in storage order. After
-    each segment it drops every pose whose inliers so far plus the entries
-    still unscanned fall below ``bound``: that pose cannot reach ``bound``
-    (Capel's bail-out test, BMVC 2005, in its exact form, without the
-    statistics). A pose that could still tie keeps its place. A segment
-    runs up to the first entry at which a pose could be dropped, and the
-    k-th segment of a block over at least ``_MIN_SEGMENT * 2**k`` entries,
-    so with ``bound`` 0 each block is one segment.
+    in two passes. The scan goes block by block, and each block in
+    segments in storage order, keeping only each pose's count and the set
+    of live poses. After each segment it drops every pose whose inliers so
+    far plus the entries still unscanned fall below ``bound``: that pose
+    cannot reach ``bound`` (Capel's bail-out test, BMVC 2005, in its exact
+    form, without the statistics). A pose that could still tie stays live.
+    A segment runs up to the first entry at which a pose could be dropped,
+    and the k-th segment of a block over at least ``_MIN_SEGMENT * 2**k``
+    entries, so with ``bound`` 0 each block is one segment. The poses
+    still live after the scan are re-scored, one stacked pass per whole
+    block, for their means; few survive a bound, so this costs less than
+    keeping every segment's residuals.
 
     Returns per pose its inlier count (a dropped pose's count so far) and
     its mean inlier residual, or ``None`` for a pose that was dropped or
@@ -287,25 +293,23 @@ def _score_blocks(
     square roots of the kept squared residuals, in storage order, then the
     block sums in block order, so it depends neither on the other poses
     scored with it nor on the segments. A segment reads a column slice of
-    the block's homogeneous matrix, with no copy. The result holds as long
-    as the BLAS product of the stacked projection gives each entry the
-    same bits whatever the number of poses and entries it is computed for
-    and whether it reads a whole matrix or a column slice, which the tests
-    check on the machine they run on. A one-entry product does not: NumPy
-    computes it as a matrix-vector product, whose bits may differ, so no
-    one-entry segment is split off a longer block.
+    the block's homogeneous matrix, with no copy. The counts and means
+    hold as long as the BLAS product of the stacked projection gives each
+    entry the same bits whatever the number of poses and entries it is
+    computed for and whether it reads a whole matrix or a column slice,
+    which the tests check on the machine they run on. A one-entry product
+    does not: NumPy computes it as a matrix-vector product, whose bits may
+    differ, so no one-entry segment is split off a longer block.
     """
     counts = np.zeros(rotations.shape[0], dtype=np.int64)
     live = np.arange(rotations.shape[0])
     remaining = sum(block.entry_ids.size for block in blocks)
-    scans = []
     for block in blocks:
         n = block.entry_ids.size
-        segments = []
-        lo = 0
+        lo, width = 0, _MIN_SEGMENT
         while lo < n and live.size:
             reach = int(counts[live].min()) + remaining - bound + 1
-            hi = min(n, lo + max(reach, _MIN_SEGMENT << len(segments)))
+            hi = min(n, lo + max(reach, width))
             if hi == n - 1:
                 hi = n
             segment = block._replace(
@@ -314,23 +318,19 @@ def _score_blocks(
                 points2d=block.points2d[lo:hi],
                 homogeneous=block.homogeneous[:, lo:hi],
             )
-            sq, _, keep = _evaluate_block(segment, rotations[live], translations[live], tau)
+            _, _, keep = _evaluate_block(segment, rotations[live], translations[live], tau)
             counts[live] += np.count_nonzero(keep, axis=1)
             remaining -= hi - lo
-            segments.append((live, sq, keep))
             live = live[counts[live] + remaining >= bound]
-            lo = hi
-        scans.append(segments)
+            lo, width = hi, 2 * width
 
     totals = counts.tolist()
     means: list[Optional[float]] = [None] * len(totals)
     if not live.size:
         return totals, means
     sums = [0.0] * live.size
-    for segments in scans:
-        rows = [np.searchsorted(scanned, live) for scanned, _, _ in segments]
-        sq = np.concatenate([s[r] for r, (_, s, _) in zip(rows, segments)], axis=1)
-        keep = np.concatenate([k[r] for r, (_, _, k) in zip(rows, segments)], axis=1)
+    for block in blocks:
+        sq, _, keep = _evaluate_block(block, rotations[live], translations[live], tau)
         for i in range(live.size):
             sums[i] += float(np.sqrt(sq[i][keep[i]]).sum())
     for res_sum, h in zip(sums, live.tolist()):
@@ -351,8 +351,8 @@ def count_inliers(
     block sums in block order, as :func:`run_ransac`'s scoring does; it is
     0.0 when there is no inlier.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
     rotations, translations = transform.rotation[None], transform.translation[None]
     id_chunks = []
     res_sum = 0.0
@@ -380,10 +380,12 @@ class RansacConfig:
     min_inlier_ratio: float = 0.2
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.coarse_stride < 1:
             raise ValueError("coarse_stride must be >= 1")
         if not 0.0 <= self.min_inlier_ratio <= 1.0:
@@ -452,13 +454,6 @@ def _sample_ids(groups: tuple[np.ndarray, ...], draws: np.ndarray) -> np.ndarray
     return ids[starts[group, None] + np.column_stack((first, second, third))]
 
 
-# Candidate ordering: more inliers, then lower mean residual. Stored as a
-# min-key; candidates arrive in (iteration, solution) order and only a
-# strictly smaller key replaces the best, so the earliest wins a tie.
-def _candidate_key(count: int, mean: float):
-    return (-count, mean)
-
-
 def _entry_bearings(cset: CorrespondenceSet) -> np.ndarray:
     """Unit bearing of each valid entry's pixel, indexed by entry id; NaN elsewhere."""
     bearings = np.full((cset.n_entries, 3), np.nan)
@@ -502,11 +497,7 @@ def _sample_chunk(
     return iterations, solution, rotations, translations
 
 
-def run_ransac(
-    cset: CorrespondenceSet,
-    cfg: RansacConfig = RansacConfig(),
-    workers: Optional[int] = None,
-) -> Hypothesis:
+def run_ransac(cset: CorrespondenceSet, cfg: RansacConfig = RansacConfig()) -> Hypothesis:
     """Search for the pose hypothesis with the largest consensus.
 
     Every iteration draws a (camera, frame) pair uniformly among those
@@ -518,14 +509,12 @@ def run_ransac(
     ``_SAMPLE_ITERATIONS`` consecutive iterations are solved in one batch;
     degenerate samples and rootless quartics consume their iteration. The
     solutions of ``_SCORE_ITERATIONS`` consecutive iterations are scored
-    in one pass, bounded by the best count so far: a solution is dropped,
-    and gets no mean, once it can no longer reach that count, so ties
-    still go to the mean. Neither chunk size nor the bound changes the
-    result.
-    Ties are broken by mean inlier residual, then by iteration order.
-    ``workers`` has no effect: the search runs one sequential path. It is
-    accepted only because the benchmark's per-layer probe still passes it;
-    it goes when that probe does.
+    together, bounded by the best count so far (see :func:`_score_blocks`):
+    a scan counts inliers and drops a solution once it can no longer reach
+    that count, and only the solutions still live after it are re-scored
+    for their mean, so ties still go to the mean. Neither chunk size nor
+    the bound changes the result. Ties are broken by mean inlier residual,
+    then by iteration order.
 
     Raises :class:`NoValidSampleError` when nothing can be sampled and
     :class:`InsufficientConsensusError` when the best hypothesis explains
@@ -559,7 +548,10 @@ def run_ransac(
             for j, (k, l), total, mean in zip(range(lo, hi), sources, totals, means):
                 if mean is None:
                     continue
-                key = _candidate_key(total, mean)
+                # More inliers, then a lower mean residual, as a min-key;
+                # only a strictly smaller key replaces the best, so the
+                # earliest candidate wins a tie.
+                key = (-total, mean)
                 if best is None or key < best[0]:
                     best = (key, (k, l), rots[j], transs[j])
 

@@ -81,8 +81,10 @@ class RefineConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.lr_rotation <= 0.0 or self.lr_translation <= 0.0:
-            raise ValueError("learning rates must be positive")
+        for name in ("lr_rotation", "lr_translation"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.fine_stride < 1:
             raise ValueError("fine_stride must be >= 1")
 
@@ -184,7 +186,7 @@ def _loss_and_gradient_on_blocks(blocks: Sequence[CameraBlock], pose: EulerPose)
         if cam.skew:
             pr1 += cam.skew * du
         if cam.distortion is not None:
-            _, jxx, jxy, jyy = _distortion_terms(cam.distortion, xn, yn, r2, radial)
+            jxx, jxy, jyy = _distortion_terms(cam.distortion, xn, yn, r2, radial)
             pr0, pr1 = jxx * pr0 + jxy * pr1, jxy * pr0 + jyy * pr1
         w = np.empty((3, count))
         np.divide(pr0, z, out=w[0])

@@ -13,6 +13,7 @@ making sessions reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,12 +66,14 @@ class SynthConfig:
             raise ValueError("n_joints must be >= 3")
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
-        if self.rig_radius <= 0.0 or self.motion_extent <= 0.0:
-            raise ValueError("rig_radius and motion_extent must be positive")
-        if self.focal_px <= 0.0:
-            raise ValueError("focal_px must be positive")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        for name in ("rig_radius", "motion_extent", "focal_px"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         for name in ("outlier_fraction", "invalid_fraction"):
             frac = getattr(self, name)
             if not 0.0 <= frac <= 1.0:

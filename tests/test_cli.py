@@ -141,12 +141,37 @@ class TestExitCodes:
         result = run_cli("calibrate", "--session", clean_session_file)
         assert result.returncode == 64
 
-    def test_invalid_config_value_is_usage_error(self, clean_session_file, tmp_path):
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--tau", -5, "tau"),
+            ("--tau", "nan", "tau"),
+            ("--tau", "inf", "tau"),
+            ("--lr-rot", "nan", "lr_rotation"),
+            ("--lr-trans", "inf", "lr_translation"),
+            ("--seed", -1, "seed"),
+        ],
+    )
+    def test_invalid_config_value_is_usage_error(
+        self, clean_session_file, tmp_path, flag, value, field
+    ):
         result = run_cli(
-            "calibrate", "--session", clean_session_file, "--tau", -5,
+            "calibrate", "--session", clean_session_file, flag, value,
             "--out", str(tmp_path / "r.json"),
         )
         assert result.returncode == 64
+        assert f"error: {field} must" in result.stderr
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, field", [("--seed", -1, "seed"), ("--sigma", "nan", "noise_sigma")]
+    )
+    def test_invalid_synth_value_is_usage_error(self, tmp_path, flag, value, field):
+        out = tmp_path / "s.json"
+        result = run_cli("synth", "--out", str(out), "--frames", 5, flag, value)
+        assert result.returncode == 64
+        assert f"error: {field} must" in result.stderr
+        assert not out.exists()
 
     def test_nonexistent_session_is_input_error(self, tmp_path):
         result = run_cli(

@@ -18,7 +18,7 @@ from mocapcal import (
     rotation_zyx,
     undistort_normalized,
 )
-from mocapcal.geometry import _distortion_terms, rotation_zyx_derivatives
+from mocapcal.geometry import _distort, _distortion_terms, rotation_zyx_derivatives
 
 from helpers import BASIC_K, basic_camera, random_rotation_matrix
 
@@ -234,7 +234,9 @@ class TestDistortion:
         eps = 1e-7
         for _ in range(30):
             xy = rng.uniform(-0.4, 0.4, 2)
-            _, jxx, jxy, jyy = _distortion_terms(coeffs, xy[0], xy[1])
+            x, y = xy[:1], xy[1:]
+            _, _, r2, radial = _distort(coeffs, x, y, terms=True)
+            jxx, jxy, jyy = (j[0] for j in _distortion_terms(coeffs, x, y, r2, radial))
             jac = np.array([[jxx, jxy], [jxy, jyy]])
             fd = np.empty((2, 2))
             for col in range(2):

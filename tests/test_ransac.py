@@ -96,7 +96,7 @@ class TestCorrespondenceSet:
         ]
         cset = make_set([cam_a, cam_b], rows, dims=(2, 3, 1))
         blocks = cset.camera_blocks(stride=1)
-        assert [b.cam_index for b in blocks] == [0, 1]
+        assert [b.camera for b in blocks] == [cam_a, cam_b]
         assert blocks[0].points3d.shape == (1, 3)
         np.testing.assert_allclose(blocks[0].points2d, [[660.0, 360.0]])
         np.testing.assert_allclose(blocks[1].points2d, [[640.0, 360.0]])
@@ -171,6 +171,11 @@ class TestCountInliers:
         cset = make_set([cam], rows, dims=(1, 2, 1))
         result = count_inliers(cset, transform, tau=5.0)
         assert result.ids.tolist() == [1]
+
+    @pytest.mark.parametrize("tau", [0.0, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_or_non_positive_tau(self, clean_session, tau):
+        with pytest.raises(ValueError, match="^tau must"):
+            count_inliers(clean_session.correspondences, clean_session.gt_extrinsic, tau=tau)
 
     def test_stride_limits_scored_frames(self, clean_session):
         cset = clean_session.correspondences
@@ -268,16 +273,13 @@ class TestRunRansac:
         with pytest.raises(InsufficientConsensusError):
             run_ransac(noisy.correspondences, cfg)
 
-    def test_deterministic_across_worker_counts(self, outlier_session):
-        cset = outlier_session.correspondences
-        cfg = RansacConfig(tau=6.0, iterations=200, seed=7, coarse_stride=2)
-        single = run_ransac(cset, cfg, workers=1)
-        parallel = run_ransac(cset, cfg, workers=8)
-        assert single.source == parallel.source
-        assert single.inlier_count == parallel.inlier_count
-        assert single.mean_inlier_residual == parallel.mean_inlier_residual
-        assert np.array_equal(single.transform.rotation, parallel.transform.rotation)
-        assert np.array_equal(single.transform.translation, parallel.transform.translation)
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", -1)] + [("tau", v) for v in (float("nan"), float("inf"), float("-inf"))],
+    )
+    def test_config_rejects_bad_values_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            RansacConfig(**{field: value})
 
     def test_independent_of_score_batch_size(self, outlier_session, monkeypatch):
         cset = outlier_session.correspondences
@@ -510,7 +512,7 @@ def unbounded_ransac(cset, cfg):
     for lo in range(0, iters.size, 16):
         totals, means = unbounded_score(blocks, rots[lo : lo + 16], trans[lo : lo + 16], cfg.tau)
         for j, total, mean in zip(range(lo, lo + 16), totals, means):
-            key = ransac._candidate_key(total, mean)
+            key = (-total, mean)
             if best is None or key < best[0]:
                 best = (key, (int(iters[j]), int(sols[j])), rots[j], trans[j])
     (neg_count, mean), source, rotation, translation = best
@@ -580,7 +582,9 @@ class TestBoundedScoring:
         want_totals, want_means = unbounded_score(blocks, rots, trans, 6.0)
         scanned = spy_scanned(monkeypatch)
         totals, means = ransac._score_blocks(blocks, rots, trans, 6.0)
-        assert scanned == [(24, block.entry_ids.size) for block in blocks]
+        # One segment per block for every pose, then every pose, all still
+        # live, re-scored once per block for its mean.
+        assert scanned == 2 * [(24, block.entry_ids.size) for block in blocks]
         assert totals == want_totals
         assert means == want_means
 
@@ -592,9 +596,14 @@ class TestBoundedScoring:
         rots, trans = sampled_poses(synth, 24)
         want_totals, want_means = unbounded_score(blocks, rots, trans, 6.0)
         bound = sorted(want_totals)[-3]
+        scanned = spy_scanned(monkeypatch)
         totals, means = ransac._score_blocks(blocks, rots, trans, 6.0, bound)
         survivors = [h for h, total in enumerate(want_totals) if total >= bound]
         assert 3 <= len(survivors) < 24
+        # The re-score pass projects the survivors alone, once per whole block.
+        assert scanned[-len(blocks) :] == [
+            (len(survivors), block.entry_ids.size) for block in blocks
+        ]
         for h in range(24):
             if h in survivors:
                 assert totals[h] == want_totals[h]

@@ -24,7 +24,12 @@ from mocapcal import (
     run_ransac,
 )
 from mocapcal import refine
-from mocapcal.geometry import _distortion_terms, project_stacked, rotation_zyx_derivatives
+from mocapcal.geometry import (
+    _distort,
+    _distortion_terms,
+    project_stacked,
+    rotation_zyx_derivatives,
+)
 from mocapcal.ransac import CameraBlock
 from mocapcal.synth import GAUSSIAN, SynthConfig, generate
 
@@ -210,7 +215,8 @@ def lean_loss_and_gradient(blocks, pose):
         pr0 = cam.fx * du
         pr1 = cam.skew * du + cam.fy * dv
         if cam.distortion is not None:
-            _, jxx, jxy, jyy = _distortion_terms(cam.distortion, xn, yn)
+            _, _, r2, radial = _distort(cam.distortion, xn, yn, terms=True)
+            jxx, jxy, jyy = _distortion_terms(cam.distortion, xn, yn, r2, radial)
             pr0, pr1 = jxx * pr0 + jxy * pr1, jxy * pr0 + jyy * pr1
         w0, w1 = pr0 / z, pr1 / z
         w = np.stack([w0, w1, -(xn * w0 + yn * w1)])
@@ -338,6 +344,12 @@ class TestAdamStep:
 
 
 class TestRefinePose:
+    @pytest.mark.parametrize("field", ["lr_rotation", "lr_translation"])
+    @pytest.mark.parametrize("value", [0.0, float("nan"), float("inf"), float("-inf")])
+    def test_config_rejects_a_bad_learning_rate_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            RefineConfig(**{field: value})
+
     def test_start_at_optimum_stays_there(self):
         session = generate(SynthConfig(n_cameras=2, n_joints=17, n_frames=40, seed=5))
         gt = session.gt_extrinsic

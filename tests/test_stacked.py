@@ -289,7 +289,9 @@ class TestZeroTermsKeepTheBits:
     def test_distortion_and_its_jacobian(self, coeffs, rng):
         x, y = rng.uniform(-0.6, 0.6, (2, 3, 400))
         assert_same_bytes(_distort(coeffs, x.copy(), y.copy()), five_term_distort(coeffs, x, y))
-        assert_same_bytes(_distortion_terms(coeffs, x, y), five_term_terms(coeffs, x, y))
+        _, _, r2, radial = _distort(coeffs, x.copy(), y.copy(), terms=True)
+        jacobian = _distortion_terms(coeffs, x, y, r2, radial)
+        assert_same_bytes(jacobian, five_term_terms(coeffs, x, y)[1:])
 
     @pytest.mark.parametrize("coeffs", ZERO_PATTERNS, ids=str)
     def test_shared_radial_terms(self, coeffs, rng):
@@ -297,9 +299,7 @@ class TestZeroTermsKeepTheBits:
         x, y = rng.uniform(-0.6, 0.6, (2, 3, 400))
         xd, yd, r2, radial = _distort(coeffs, x.copy(), y.copy(), terms=True)
         assert_same_bytes((xd, yd), five_term_distort(coeffs, x, y))
-        assert_same_bytes((r2,), (x * x + y * y,))
-        shared = _distortion_terms(coeffs, x, y, r2, radial)
-        assert_same_bytes(shared, five_term_terms(coeffs, x, y))
+        assert_same_bytes((r2, radial), (x * x + y * y, five_term_terms(coeffs, x, y)[0]))
 
     @pytest.mark.parametrize("skew", [0.0, 2.5])
     @pytest.mark.parametrize("coeffs", ZERO_PATTERNS + [None], ids=str)

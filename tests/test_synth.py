@@ -47,6 +47,12 @@ class TestConfigValidation:
             SynthConfig(outlier_fraction=1.2)
         with pytest.raises(ValueError):
             SynthConfig(invalid_fraction=-0.1)
+        with pytest.raises(ValueError, match="^seed must"):
+            SynthConfig(seed=-1)
+        for field in ("noise_sigma", "rig_radius", "motion_extent", "focal_px"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{field} must"):
+                    SynthConfig(**{field: value})
 
 
 class TestCleanGeneration:
