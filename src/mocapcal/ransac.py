@@ -284,8 +284,10 @@ def _score_blocks(
     and the k-th segment of a block over at least ``_MIN_SEGMENT * 2**k``
     entries, so with ``bound`` 0 each block is one segment. The poses
     still live after the scan are re-scored, one stacked pass per whole
-    block, for their means; few survive a bound, so this costs less than
-    keeping every segment's residuals.
+    block, for their means. On the benchmark's workloads under 3 % of the
+    poses survive a bound; on noiseless data about half tie on the best
+    count, and the re-score then costs more than keeping the scan's
+    residuals would.
 
     Returns per pose its inlier count (a dropped pose's count so far) and
     its mean inlier residual, or ``None`` for a pose that was dropped or
