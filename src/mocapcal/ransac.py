@@ -29,10 +29,11 @@ dropped once its inliers so far plus the entries still unscored fall
 below the best count so far: the bail-out test of Capel ("An effective
 bail-out test for RANSAC consensus scoring", BMVC 2005) in its exact
 form, without the statistics, so the winner is the one full scoring
-would pick. The scan keeps only the counts and the hypotheses still
-live; those left at its end are scored again, one stacked pass per
-block, for the mean residual that breaks ties. Only the winner becomes
-a :class:`RigidTransform`.
+would pick. The scan keeps the counts, the hypotheses still live and
+the residuals of each block it covers in one segment. The hypotheses
+left at its end take the mean residual that breaks ties from those
+residuals, or from one more stacked pass over a block the scan split.
+Only the winner becomes a :class:`RigidTransform`.
 
 A run draws its samples from one RNG stream, the first child spawned
 from its seed, at four uniforms per iteration, all drawn before the
@@ -274,20 +275,23 @@ def _score_blocks(
     """Inlier counts of H poses, and the mean inlier residual of those reaching ``bound``.
 
     Scores the H poses ``rotations`` (H, 3, 3) and ``translations`` (H, 3)
-    in two passes. The scan goes block by block, and each block in
-    segments in storage order, keeping only each pose's count and the set
-    of live poses. After each segment it drops every pose whose inliers so
+    in a scan and a pass for the means. The scan goes block by block, and
+    each block in segments in storage order, keeping each pose's count,
+    the set of live poses and, for a block it covers in one segment, that
+    segment's residuals. After each segment it drops every pose whose inliers so
     far plus the entries still unscanned fall below ``bound``: that pose
     cannot reach ``bound`` (Capel's bail-out test, BMVC 2005, in its exact
     form, without the statistics). A pose that could still tie stays live.
     A segment runs up to the first entry at which a pose could be dropped,
     and the k-th segment of a block over at least ``_MIN_SEGMENT * 2**k``
     entries, so with ``bound`` 0 each block is one segment. The poses
-    still live after the scan are re-scored, one stacked pass per whole
-    block, for their means. On the benchmark's workloads under 3 % of the
-    poses survive a bound; on noiseless data about half tie on the best
-    count, and the re-score then costs more than keeping the scan's
-    residuals would.
+    still live after the scan take their means from the kept residuals,
+    or from one more stacked pass over a block the scan split. Measured
+    on ten sessions of the benchmark's calibrate workloads, 0.5 to 2.7 %
+    of the scored poses were still live. On noiseless sessions half were,
+    as every good pose ties on the best count; on a 2,000-frame one,
+    whose blocks the scan splits, the extra pass made ``run_ransac`` 20 to
+    30 % slower than keeping every segment's residuals did.
 
     Returns per pose its inlier count (a dropped pose's count so far) and
     its mean inlier residual, or ``None`` for a pose that was dropped or
@@ -306,7 +310,8 @@ def _score_blocks(
     counts = np.zeros(rotations.shape[0], dtype=np.int64)
     live = np.arange(rotations.shape[0])
     remaining = sum(block.entry_ids.size for block in blocks)
-    for block in blocks:
+    whole = [None] * len(blocks)
+    for b, block in enumerate(blocks):
         n = block.entry_ids.size
         lo, width = 0, _MIN_SEGMENT
         while lo < n and live.size:
@@ -320,7 +325,9 @@ def _score_blocks(
                 points2d=block.points2d[lo:hi],
                 homogeneous=block.homogeneous[:, lo:hi],
             )
-            _, _, keep = _evaluate_block(segment, rotations[live], translations[live], tau)
+            sq, _, keep = _evaluate_block(segment, rotations[live], translations[live], tau)
+            if hi - lo == n:
+                whole[b] = (live, sq, keep)
             counts[live] += np.count_nonzero(keep, axis=1)
             remaining -= hi - lo
             live = live[counts[live] + remaining >= bound]
@@ -331,8 +338,15 @@ def _score_blocks(
     if not live.size:
         return totals, means
     sums = [0.0] * live.size
-    for block in blocks:
-        sq, _, keep = _evaluate_block(block, rotations[live], translations[live], tau)
+    alive = np.zeros(len(totals), dtype=bool)
+    alive[live] = True
+    for block, scan in zip(blocks, whole):
+        if scan is None:
+            sq, _, keep = _evaluate_block(block, rotations[live], translations[live], tau)
+        else:
+            scanned, sq, keep = scan
+            rows = alive[scanned]
+            sq, keep = sq[rows], keep[rows]
         for i in range(live.size):
             sums[i] += float(np.sqrt(sq[i][keep[i]]).sum())
     for res_sum, h in zip(sums, live.tolist()):
@@ -499,7 +513,11 @@ def _sample_chunk(
     return iterations, solution, rotations, translations
 
 
-def run_ransac(cset: CorrespondenceSet, cfg: RansacConfig = RansacConfig()) -> Hypothesis:
+def run_ransac(
+    cset: CorrespondenceSet,
+    cfg: RansacConfig = RansacConfig(),
+    workers: Optional[int] = None,
+) -> Hypothesis:
     """Search for the pose hypothesis with the largest consensus.
 
     Every iteration draws a (camera, frame) pair uniformly among those
@@ -513,10 +531,13 @@ def run_ransac(cset: CorrespondenceSet, cfg: RansacConfig = RansacConfig()) -> H
     solutions of ``_SCORE_ITERATIONS`` consecutive iterations are scored
     together, bounded by the best count so far (see :func:`_score_blocks`):
     a scan counts inliers and drops a solution once it can no longer reach
-    that count, and only the solutions still live after it are re-scored
-    for their mean, so ties still go to the mean. Neither chunk size nor
+    that count, and only the solutions still live after it get a mean, so
+    ties still go to the mean. Neither chunk size nor
     the bound changes the result. Ties are broken by mean inlier residual,
     then by iteration order.
+    ``workers`` has no effect: the search runs one sequential path. It is
+    accepted only because the benchmark's per-layer probe still passes it;
+    it goes when that probe does.
 
     Raises :class:`NoValidSampleError` when nothing can be sampled and
     :class:`InsufficientConsensusError` when the best hypothesis explains

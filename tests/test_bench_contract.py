@@ -3,7 +3,11 @@
 ``perfbench/layers.py`` leaves a per-layer metric out when a public name
 it probes is gone, and ``perfbench/workloads.py`` imports its names
 outright, so a rename or removal quietly thins the traced run or breaks
-it. This reads the names only; it runs no benchmark.
+it. ``perfbench`` reads ``worker_count`` through ``getattr``, so its
+removal thins only ``resolved_workers``; ``run_ransac``'s ``workers``
+argument feeds the ``ransac.run_s.w1``/``wN`` layer metrics, which
+``BENCHMARK.json`` declares. This reads the names only; it runs no
+benchmark.
 """
 
 import dataclasses
@@ -62,6 +66,12 @@ def test_minimal_problem_builds_from_observations():
     from mocapcal.p3p import MinimalProblem
 
     assert callable(getattr(MinimalProblem, "from_observations", None))
+
+
+def test_run_ransac_takes_workers():
+    from mocapcal.ransac import run_ransac
+
+    assert "workers" in inspect.signature(run_ransac).parameters
 
 
 def test_loss_report_has_an_active_count():
