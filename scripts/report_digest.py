@@ -16,8 +16,8 @@ Sessions:
     50 % outliers and 20 % invalid entries, calibrated with ground truth
     (``-gt``) and without it (``-nogt``);
   * clean0-3: noiseless 2-camera sessions. Their initial pose is already at
-    machine precision, so refinement is rejected on some of them (seeds 2
-    and 3), which covers the branch that reports the initial pose;
+    machine precision, so refinement is rejected on some of them (clean0,
+    clean1 and clean3), which covers the branch that reports the initial pose;
   * full0-1: every distortion term non-zero (k1 -0.2, k2 0.05, k3 -0.01,
     p1 1e-3, p2 -5e-4), sigma 2 px, 20 % outliers, with ground truth;
     full0 has two cameras, full1 one camera with skew 2 px, so the general

@@ -74,7 +74,6 @@ from .synth import (
     SynthConfig,
     SynthSession,
     generate,
-    random_rotation,
 )
 
 __version__ = "0.1.0"
@@ -125,7 +124,6 @@ __all__ = [
     "loss_and_gradient",
     "nearest_rotation",
     "project_points",
-    "random_rotation",
     "recover_mocap_pose",
     "refine_pose",
     "report_from_dict",

@@ -12,8 +12,8 @@ at once, through the stacked projection chain. It works on squared
 residuals: an entry is an inlier when its squared residual is below the
 least double whose square root rounds to at least ``tau``, which is
 exactly ``residual < tau``, and NaN or inf fail that test with no
-separate finiteness pass. Scoring and the stride-1 evaluation reduce
-what it returns and take the square root only of the residuals they sum.
+separate finiteness pass. Scoring only counts its inliers; the stride-1
+evaluation takes the square root only of the residuals it sums.
 
 The work is done in bulk. Every valid pixel's bearing is computed once
 per run, and each iteration indexes the three it samples; a sample with a
@@ -26,14 +26,13 @@ stacked product per camera. The solutions of
 stacked projection chain (the batching of preemptive RANSAC, Nister
 2005), each camera block in segments. After each segment a hypothesis is
 dropped once its inliers so far plus the entries still unscored fall
-below the best count so far: the bail-out test of Capel ("An effective
-bail-out test for RANSAC consensus scoring", BMVC 2005) in its exact
-form, without the statistics, so the winner is the one full scoring
-would pick. The scan keeps the counts, the hypotheses still live and
-the residuals of each block it covers in one segment. The hypotheses
-left at its end take the mean residual that breaks ties from those
-residuals, or from one more stacked pass over a block the scan split.
-Only the winner becomes a :class:`RigidTransform`.
+below the best count so far plus one: the bail-out test of Capel ("An
+effective bail-out test for RANSAC consensus scoring", BMVC 2005) in its
+exact form, without the statistics. The scan keeps only the counts and
+the hypotheses still live. The winner is the hypothesis with the most
+inliers, the earliest (iteration, solution) among those that tie, which
+is the one full scoring would pick, and only it becomes a
+:class:`RigidTransform`.
 
 A run draws its samples from one RNG stream, the first child spawned
 from its seed, at four uniforms per iteration, all drawn before the
@@ -271,47 +270,35 @@ def _score_blocks(
     translations: np.ndarray,
     tau: float,
     bound: int = 0,
-) -> tuple[list[int], list[Optional[float]]]:
-    """Inlier counts of H poses, and the mean inlier residual of those reaching ``bound``.
+) -> np.ndarray:
+    """Inlier counts of H poses, exact for every pose that reaches ``bound``.
 
     Scores the H poses ``rotations`` (H, 3, 3) and ``translations`` (H, 3)
-    in a scan and a pass for the means. The scan goes block by block, and
-    each block in segments in storage order, keeping each pose's count,
-    the set of live poses and, for a block it covers in one segment, that
-    segment's residuals. After each segment it drops every pose whose inliers so
-    far plus the entries still unscanned fall below ``bound``: that pose
-    cannot reach ``bound`` (Capel's bail-out test, BMVC 2005, in its exact
-    form, without the statistics). A pose that could still tie stays live.
-    A segment runs up to the first entry at which a pose could be dropped,
-    and the k-th segment of a block over at least ``_MIN_SEGMENT * 2**k``
-    entries, so with ``bound`` 0 each block is one segment. The poses
-    still live after the scan take their means from the kept residuals,
-    or from one more stacked pass over a block the scan split. Measured
-    on ten sessions of the benchmark's calibrate workloads, 0.5 to 2.7 %
-    of the scored poses were still live. On noiseless sessions half were,
-    as every good pose ties on the best count; on a 2,000-frame one,
-    whose blocks the scan splits, the extra pass made ``run_ransac`` 20 to
-    30 % slower than keeping every segment's residuals did.
+    in one scan, block by block, and each block in segments in storage
+    order, keeping only each pose's count and the set of live poses.
+    After each segment it drops every pose whose inliers so far plus the
+    entries still unscanned fall below ``bound``: that pose cannot reach
+    ``bound`` (Capel's bail-out test, BMVC 2005, in its exact form,
+    without the statistics). A segment runs up to the first entry at
+    which a pose could be dropped, and the k-th segment of a block over at
+    least ``_MIN_SEGMENT * 2**k`` entries, so with ``bound`` 0 each block
+    is one segment.
 
-    Returns per pose its inlier count (a dropped pose's count so far) and
-    its mean inlier residual, or ``None`` for a pose that was dropped or
-    ends below ``bound``. A mean adds each block's kept residuals, the
-    square roots of the kept squared residuals, in storage order, then the
-    block sums in block order, so it depends neither on the other poses
-    scored with it nor on the segments. A segment reads a column slice of
-    the block's homogeneous matrix, with no copy. The counts and means
-    hold as long as the BLAS product of the stacked projection gives each
-    entry the same bits whatever the number of poses and entries it is
-    computed for and whether it reads a whole matrix or a column slice,
-    which the tests check on the machine they run on. A one-entry product
-    does not: NumPy computes it as a matrix-vector product, whose bits may
-    differ, so no one-entry segment is split off a longer block.
+    Returns each pose's inlier count, (H,) integers: the full count of a
+    pose that reaches ``bound``, and of a dropped pose its count so far,
+    which is below ``bound``. A segment reads a column slice of the
+    block's homogeneous matrix, with no copy. The counts hold as long as
+    the BLAS product of the stacked projection gives each entry the same
+    bits whatever the number of poses and entries it is computed for and
+    whether it reads a whole matrix or a column slice, which the tests
+    check on the machine they run on. A one-entry product does not: NumPy
+    computes it as a matrix-vector product, whose bits may differ, so no
+    one-entry segment is split off a longer block.
     """
     counts = np.zeros(rotations.shape[0], dtype=np.int64)
     live = np.arange(rotations.shape[0])
     remaining = sum(block.entry_ids.size for block in blocks)
-    whole = [None] * len(blocks)
-    for b, block in enumerate(blocks):
+    for block in blocks:
         n = block.entry_ids.size
         lo, width = 0, _MIN_SEGMENT
         while lo < n and live.size:
@@ -325,33 +312,12 @@ def _score_blocks(
                 points2d=block.points2d[lo:hi],
                 homogeneous=block.homogeneous[:, lo:hi],
             )
-            sq, _, keep = _evaluate_block(segment, rotations[live], translations[live], tau)
-            if hi - lo == n:
-                whole[b] = (live, sq, keep)
+            _, _, keep = _evaluate_block(segment, rotations[live], translations[live], tau)
             counts[live] += np.count_nonzero(keep, axis=1)
             remaining -= hi - lo
             live = live[counts[live] + remaining >= bound]
             lo, width = hi, 2 * width
-
-    totals = counts.tolist()
-    means: list[Optional[float]] = [None] * len(totals)
-    if not live.size:
-        return totals, means
-    sums = [0.0] * live.size
-    alive = np.zeros(len(totals), dtype=bool)
-    alive[live] = True
-    for block, scan in zip(blocks, whole):
-        if scan is None:
-            sq, _, keep = _evaluate_block(block, rotations[live], translations[live], tau)
-        else:
-            scanned, sq, keep = scan
-            rows = alive[scanned]
-            sq, keep = sq[rows], keep[rows]
-        for i in range(live.size):
-            sums[i] += float(np.sqrt(sq[i][keep[i]]).sum())
-    for res_sum, h in zip(sums, live.tolist()):
-        means[h] = res_sum / totals[h] if totals[h] else 0.0
-    return totals, means
+    return counts
 
 
 def count_inliers(
@@ -364,8 +330,7 @@ def count_inliers(
     """Inliers of ``transform`` among valid entries at a frame stride.
 
     The mean adds each block's inlier residuals, in storage order, then the
-    block sums in block order, as :func:`run_ransac`'s scoring does; it is
-    0.0 when there is no inlier.
+    block sums in block order; it is 0.0 when there is no inlier.
     """
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
@@ -415,7 +380,6 @@ class Hypothesis:
     transform: RigidTransform
     inlier_count: int
     inlier_ratio: float  # inlier_count over the number of scored entries
-    mean_inlier_residual: float
     source: tuple[int, int]
 
 
@@ -529,12 +493,12 @@ def run_ransac(
     ``_SAMPLE_ITERATIONS`` consecutive iterations are solved in one batch;
     degenerate samples and rootless quartics consume their iteration. The
     solutions of ``_SCORE_ITERATIONS`` consecutive iterations are scored
-    together, bounded by the best count so far (see :func:`_score_blocks`):
-    a scan counts inliers and drops a solution once it can no longer reach
-    that count, and only the solutions still live after it get a mean, so
-    ties still go to the mean. Neither chunk size nor
-    the bound changes the result. Ties are broken by mean inlier residual,
-    then by iteration order.
+    together, bounded by the best count so far plus one (see
+    :func:`_score_blocks`): a scan counts inliers and drops a solution once
+    it can no longer beat that count. The winner is the solution with the
+    most inliers; among solutions that tie on the count, the earliest
+    (iteration, solution) wins. Neither chunk size nor the bound changes
+    the result.
     ``workers`` has no effect: the search runs one sequential path. It is
     accepted only because the benchmark's per-layer probe still passes it;
     it goes when that probe does.
@@ -557,7 +521,7 @@ def run_ransac(
 
     bearings = _entry_bearings(cset)
     samples = _sample_ids(groups, _sample_draws(cfg.seed, cfg.iterations))
-    best = None
+    count, best = -1, None
     for first in range(0, cfg.iterations, _SAMPLE_ITERATIONS):
         last = min(first + _SAMPLE_ITERATIONS, cfg.iterations)
         iters, sols, rots, transs = _sample_chunk(cset, samples, bearings, first, last)
@@ -565,25 +529,19 @@ def run_ransac(
         for lo, hi in zip(edges, edges[1:] + [iters.size]):
             if lo == hi:
                 continue
-            bound = 0 if best is None else -best[0][0]
-            totals, means = _score_blocks(blocks, rots[lo:hi], transs[lo:hi], cfg.tau, bound)
-            sources = zip(iters[lo:hi].tolist(), sols[lo:hi].tolist())
-            for j, (k, l), total, mean in zip(range(lo, hi), sources, totals, means):
-                if mean is None:
-                    continue
-                # More inliers, then a lower mean residual, as a min-key;
-                # only a strictly smaller key replaces the best, so the
-                # earliest candidate wins a tie.
-                key = (-total, mean)
-                if best is None or key < best[0]:
-                    best = (key, (k, l), rots[j], transs[j])
+            counts = _score_blocks(blocks, rots[lo:hi], transs[lo:hi], cfg.tau, count + 1)
+            # argmax takes the first of the group's tied maxima, and only a
+            # strictly larger count replaces the best, so the earliest wins.
+            j = int(np.argmax(counts))
+            if counts[j] > count:
+                count, j = int(counts[j]), lo + j
+                best = ((int(iters[j]), int(sols[j])), rots[j], transs[j])
 
     if best is None:
         raise InsufficientConsensusError(
             "no sample produced a scorable pose hypothesis"
         )
-    (neg_count, mean), source, rotation, translation = best
-    count = -neg_count
+    source, rotation, translation = best
     ratio = count / n_scored
     if ratio < cfg.min_inlier_ratio:
         raise InsufficientConsensusError(
@@ -592,5 +550,5 @@ def run_ransac(
         )
     return Hypothesis(
         RigidTransform(rotation, translation),
-        inlier_count=count, inlier_ratio=ratio, mean_inlier_residual=mean, source=source
+        inlier_count=count, inlier_ratio=ratio, source=source
     )

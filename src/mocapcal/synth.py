@@ -100,7 +100,7 @@ class SynthSession:
         object.__setattr__(self, "corruption", labels)
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
+def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniformly random rotation matrix from a normalized quaternion."""
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
@@ -199,7 +199,7 @@ def generate(cfg: SynthConfig = SynthConfig()) -> SynthSession:
     gt = cfg.gt_extrinsic
     if gt is None:
         gt = RigidTransform(
-            rotation=random_rotation(rng), translation=rng.uniform(-1.0, 1.0, size=3)
+            rotation=_random_rotation(rng), translation=rng.uniform(-1.0, 1.0, size=3)
         )
     cameras = _ring_cameras(cfg, rng)
     world = _joint_trajectories(cfg, rng)

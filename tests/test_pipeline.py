@@ -269,9 +269,6 @@ class TestEvaluationAgainstScalarReference:
         norms = scalar_residuals(cset, hypothesis.transform, stride=cfg.coarse_stride)
         inliers = [n for n in norms.values() if n < self.TAU]
         assert hypothesis.inlier_count == len(inliers)
-        assert hypothesis.mean_inlier_residual == pytest.approx(
-            sum(inliers) / len(inliers), rel=1e-12
-        )
 
     def test_positive_depth_counts_the_reported_pose(self, data):
         cset, _, _ = data

@@ -280,7 +280,6 @@ class TestRunRansac:
         parallel = run_ransac(cset, cfg, workers=8)
         assert single.source == parallel.source
         assert single.inlier_count == parallel.inlier_count
-        assert single.mean_inlier_residual == parallel.mean_inlier_residual
         assert np.array_equal(single.transform.rotation, parallel.transform.rotation)
         assert np.array_equal(single.transform.translation, parallel.transform.translation)
 
@@ -300,7 +299,7 @@ class TestRunRansac:
             monkeypatch.setattr(ransac, "_SCORE_ITERATIONS", size)
             hyp = run_ransac(cset, cfg)
             pose = hyp.transform.rotation.tobytes() + hyp.transform.translation.tobytes()
-            seen.add((hyp.source, hyp.inlier_count, hyp.mean_inlier_residual, pose))
+            seen.add((hyp.source, hyp.inlier_count, pose))
         assert len(seen) == 1
 
     def test_independent_of_sample_chunk_size(self, outlier_session, monkeypatch):
@@ -311,7 +310,7 @@ class TestRunRansac:
             monkeypatch.setattr(ransac, "_SAMPLE_ITERATIONS", size)
             hyp = run_ransac(cset, cfg)
             pose = hyp.transform.rotation.tobytes() + hyp.transform.translation.tobytes()
-            seen.add((hyp.source, hyp.inlier_count, hyp.mean_inlier_residual, pose))
+            seen.add((hyp.source, hyp.inlier_count, pose))
         assert len(seen) == 1
 
     def test_sample_with_an_uninvertible_pixel_is_degenerate(self):
@@ -348,7 +347,6 @@ class TestRunRansac:
         hyp = run_ransac(cset, cfg)
         recount = count_inliers(cset, hyp.transform, tau=cfg.tau, stride=cfg.coarse_stride)
         assert len(recount.ids) == hyp.inlier_count
-        assert recount.mean_residual == hyp.mean_inlier_residual
 
 
 def scalar_sample(groups, row):
@@ -501,38 +499,32 @@ class TestSampleChunk:
 
 def unbounded_score(blocks, rotations, translations, tau):
     """Every entry of every pose scored, as before the bail-out test."""
-    totals = [0] * rotations.shape[0]
-    sums = [0.0] * rotations.shape[0]
+    totals = np.zeros(rotations.shape[0], dtype=np.int64)
     for block in blocks:
-        sq, _, keep = ransac._evaluate_block(block, rotations, translations, tau)
-        for h, count in enumerate(np.count_nonzero(keep, axis=1).tolist()):
-            if count:
-                totals[h] += count
-                sums[h] += float(np.sqrt(sq[h][keep[h]]).sum())
-    means = [res_sum / total if total else 0.0 for res_sum, total in zip(sums, totals)]
-    return totals, means
+        _, _, keep = ransac._evaluate_block(block, rotations, translations, tau)
+        totals += np.count_nonzero(keep, axis=1)
+    return totals.tolist()
 
 
 def unbounded_ransac(cset, cfg):
-    """The winner's source, count, mean and pose bytes when every pose is scored in full."""
+    """The winner's source, count and pose bytes when every pose is scored in full.
+
+    The winner is the first (iteration, solution) with the most inliers.
+    """
     samples = drawn_samples(cset, cfg.seed, cfg.iterations)
     bearings = ransac._entry_bearings(cset)
     blocks = cset.camera_blocks(stride=cfg.coarse_stride)
     iters, sols, rots, trans = ransac._sample_chunk(cset, samples, bearings, 0, cfg.iterations)
-    best = None
+    totals = []
     for lo in range(0, iters.size, 16):
-        totals, means = unbounded_score(blocks, rots[lo : lo + 16], trans[lo : lo + 16], cfg.tau)
-        for j, total, mean in zip(range(lo, lo + 16), totals, means):
-            key = (-total, mean)
-            if best is None or key < best[0]:
-                best = (key, (int(iters[j]), int(sols[j])), rots[j], trans[j])
-    (neg_count, mean), source, rotation, translation = best
-    return source, -neg_count, mean, rotation.tobytes() + translation.tobytes()
+        totals += unbounded_score(blocks, rots[lo : lo + 16], trans[lo : lo + 16], cfg.tau)
+    j = totals.index(max(totals))
+    return (int(iters[j]), int(sols[j])), totals[j], rots[j].tobytes() + trans[j].tobytes()
 
 
 def outcome(hyp):
     pose = hyp.transform.rotation.tobytes() + hyp.transform.translation.tobytes()
-    return hyp.source, hyp.inlier_count, hyp.mean_inlier_residual, pose
+    return hyp.source, hyp.inlier_count, pose
 
 
 def spy_scanned(monkeypatch):
@@ -590,51 +582,49 @@ class TestBoundedScoring:
         synth = generate(SynthConfig(n_joints=17, seed=6, **SAMPLE_SESSIONS[name]))
         blocks = synth.correspondences.camera_blocks(stride=2)
         rots, trans = sampled_poses(synth, 24)
-        want_totals, want_means = unbounded_score(blocks, rots, trans, 6.0)
+        want_totals = unbounded_score(blocks, rots, trans, 6.0)
         scanned = spy_scanned(monkeypatch)
-        totals, means = ransac._score_blocks(blocks, rots, trans, 6.0)
-        # One segment per block for every pose; the means reuse that scan.
+        totals = ransac._score_blocks(blocks, rots, trans, 6.0)
+        # One segment per block for every pose, and nothing after it.
         assert scanned == [(24, block.entry_ids.size) for block in blocks]
-        assert totals == want_totals
-        assert means == want_means
+        assert totals.tolist() == want_totals
 
     @pytest.mark.parametrize("segment", [2, 7, 1024])
-    def test_only_poses_that_reach_the_bound_get_a_mean(self, segment, monkeypatch):
+    def test_poses_that_reach_the_bound_get_exact_counts(self, segment, monkeypatch):
         monkeypatch.setattr(ransac, "_MIN_SEGMENT", segment)
         synth = generate(SynthConfig(n_joints=17, seed=6, **SAMPLE_SESSIONS["long_capture"]))
         blocks = synth.correspondences.camera_blocks(stride=2)
         rots, trans = sampled_poses(synth, 24)
-        want_totals, want_means = unbounded_score(blocks, rots, trans, 6.0)
+        want_totals = unbounded_score(blocks, rots, trans, 6.0)
         bound = sorted(want_totals)[-3]
         scanned = spy_scanned(monkeypatch)
-        totals, means = ransac._score_blocks(blocks, rots, trans, 6.0, bound)
+        totals = ransac._score_blocks(blocks, rots, trans, 6.0, bound).tolist()
         survivors = [h for h, total in enumerate(want_totals) if total >= bound]
         assert 3 <= len(survivors) < 24
-        # The scan covers each block once, in segments. Then the survivors
-        # alone are projected again, once per whole block the scan split;
-        # a block scanned in one segment reuses that scan.
+        # The scan covers each block exactly once, in segments, and no pass
+        # follows it.
         passes = iter(scanned)
-        rescored = []
         for block in blocks:
-            widths = []
-            while sum(widths) < block.entry_ids.size:
-                widths.append(next(passes)[1])
-            if len(widths) > 1:
-                rescored.append((len(survivors), block.entry_ids.size))
-        assert list(passes) == rescored
-        assert rescored or segment == 1024
+            covered = 0
+            while covered < block.entry_ids.size:
+                covered += next(passes)[1]
+            assert covered == block.entry_ids.size
+        assert list(passes) == []
+        assert len(scanned) > len(blocks) or segment == 1024
         for h in range(24):
             if h in survivors:
                 assert totals[h] == want_totals[h]
-                assert means[h] == want_means[h]
             else:
                 assert totals[h] < bound
-                assert means[h] is None
 
-    def test_scans_fewer_entries_than_every_pose_times_every_entry(self, monkeypatch):
-        cset = generate(
-            SynthConfig(n_joints=17, seed=6, **dict(SAMPLE_SESSIONS["long_capture"], n_frames=2000))
-        ).correspondences
+    # The noiseless session is where every good pose ties on the best count.
+    @pytest.mark.parametrize(
+        "synth_kw",
+        [dict(SAMPLE_SESSIONS["long_capture"], n_frames=2000), dict(n_frames=2000)],
+        ids=["long_capture", "noiseless"],
+    )
+    def test_scans_fewer_entries_than_every_pose_times_every_entry(self, synth_kw, monkeypatch):
+        cset = generate(SynthConfig(n_joints=17, seed=6, **synth_kw)).correspondences
         cfg = RansacConfig(iterations=400, seed=21)
         n_scored = sum(block.entry_ids.size for block in cset.camera_blocks(stride=10))
         poses = []
