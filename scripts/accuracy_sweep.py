@@ -14,9 +14,11 @@ prints one row per workload:
 Each missed session is listed under the table with its errors.
 
 ``--dump FILE`` writes every session's errors to FILE. ``--against FILE``
-compares with such a dump: per workload, the reference's row, then on how
-many seeds the mean ``mpjpe_clean_px`` over that seed's sessions rose and
-its largest relative change. A dump written with ``PYTHONPATH`` pointing at another
+compares with such a dump: per workload, the reference's row, then how
+many sessions' errors differ from the reference at all, on how many seeds
+the mean ``mpjpe_clean_px`` over that seed's sessions rose, and its
+largest relative change (the largest rise, or the least fall), to three
+significant digits. A dump written with ``PYTHONPATH`` pointing at another
 checkout's ``src/`` shows how a change moved accuracy.
 
 Usage:
@@ -104,6 +106,12 @@ def seed_means(results):
 
 
 def compare(results, reference):
+    sessions = [
+        (ours, theirs)
+        for seed in results.keys() & reference.keys()
+        for ours, theirs in zip(results[seed], reference[seed])
+    ]
+    differ = sum(ours != theirs for ours, theirs in sessions)
     ours, theirs = seed_means(results), seed_means(reference)
     shared = sorted(ours.keys() & theirs.keys(), key=int)
     if not shared:
@@ -112,8 +120,9 @@ def compare(results, reference):
     worst = max(shared, key=change.get)
     rose = sum(change[seed] > 0.0 for seed in shared)
     return (
+        f"{differ} of {len(sessions)} sessions differ; "
         f"mean mpjpe_clean_px rose on {rose} of {len(shared)} seeds; "
-        f"largest change {100.0 * change[worst]:+.2f} % (seed {worst})"
+        f"largest change {change[worst]:+.2e} relative (seed {worst})"
     )
 
 

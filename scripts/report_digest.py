@@ -14,10 +14,12 @@ Sessions:
     fine stride 1), with ground truth;
   * mono0-2: one camera with pincushion distortion (k1 0.3, k2 0.1),
     50 % outliers and 20 % invalid entries, calibrated with ground truth
-    (``-gt``) and without it (``-nogt``);
+    (``-gt``) and without it (``-nogt``). On mono0 the refined pose raises
+    the MPJPE over all valid entries, outliers included, so it is rejected,
+    which covers the branch that reports the initial pose;
   * clean0-3: noiseless 2-camera sessions. Their initial pose is already at
-    machine precision, so refinement is rejected on some of them (clean0,
-    clean1 and clean3), which covers the branch that reports the initial pose;
+    machine precision, so on clean0, clean1 and clean3 no refinement step
+    lowers the loss and refinement returns the initial pose itself;
   * full0-1: every distortion term non-zero (k1 -0.2, k2 0.05, k3 -0.01,
     p1 1e-3, p2 -5e-4), sigma 2 px, 20 % outliers, with ground truth;
     full0 has two cameras, full1 one camera with skew 2 px, so the general

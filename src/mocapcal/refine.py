@@ -1,8 +1,15 @@
 """Gradient refinement of a pose hypothesis.
 
 Minimizes half the mean squared reprojection residual over an active set
-of correspondences, parameterizing the pose as ZYX Euler angles plus a
-translation. The forward pass runs the stacked projection chain of
+of correspondences. The pose is parameterized in a local chart about the
+starting pose ``(R0, t0)``: the points are centred on their centroid
+``c``, the rotation is ``R0 @ R_zyx(delta)`` with ZYX Euler angles
+``delta`` that start at 0, and the translation is ``t' = t0 + R0 c``,
+the one that acts on the centred points. The angles stay near 0, far
+from gimbal lock, and turning about the centroid instead of the MoCap
+origin decouples rotation from translation (the local-chart idea of
+Solà et al., "A micro Lie theory for state estimation in robotics",
+arXiv:1812.01537). The forward pass runs the stacked projection chain of
 :mod:`mocapcal.geometry` with one pose, the code RANSAC scoring and every
 evaluation run, so refinement and evaluation agree on which points lie in
 front of a camera. Gradients are analytic: the pixel residual is chained
@@ -13,13 +20,13 @@ perspective division to one camera-frame vector per entry, the rows of
 product ``W @ Q.T``, with ``Q`` the camera block's homogeneous matrix
 (rows X, Y, Z and 1), the one the forward pass projects, gives both the
 moment the angle gradients contract with and the column sums of the
-translation gradient.
+translation gradient; ``R0.T`` takes the moment into the chart.
 The loss and that product use NumPy's pairwise and BLAS's blocked sums,
 not a sequential one. Updates use Adam with the standard decay rates and
 guard, separate learning rates for the angle and translation blocks, and
 a cosine-annealed schedule over ``steps`` that ends at 1 % of each rate.
-``steps`` caps the run: it stops earlier once the best loss has reached
-a plateau.
+``steps`` caps the run: it stops earlier once the best iterate has
+stopped moving.
 
 Only strictly positive-depth entries contribute; the active-set size
 therefore varies with the pose, and the loss is always an average over
@@ -40,14 +47,15 @@ from .geometry import (
     RigidTransform,
     _distortion_terms,
     project_stacked,
-    rotation_to_euler,
+    rotation_zyx,
     rotation_zyx_derivatives,
 )
 from .ransac import CameraBlock, CorrespondenceSet
 
-# Plateau stop: refinement ends once the best loss has not fallen below
-# (1 - _PLATEAU_RTOL) times the last anchor loss for _PLATEAU_STEPS steps.
-_PLATEAU_RTOL = 1e-12
+# Plateau stop: refinement ends once the best iterate has stayed within
+# _PLATEAU_TOL of the anchor, in every chart parameter (radians about R0,
+# metres on the centred translation), for _PLATEAU_STEPS steps.
+_PLATEAU_TOL = 1e-5
 _PLATEAU_STEPS = 50
 
 # Adam's decay rates and denominator guard, the standard values of Kingma
@@ -65,8 +73,9 @@ class RefineConfig:
     """Settings for the refinement stage.
 
     ``steps`` caps the number of Adam steps and sets the length of the
-    cosine schedule. ``lr_rotation`` and ``lr_translation`` are the
-    initial learning rates of the angle and translation blocks.
+    cosine schedule; a run stops earlier once its best pose stops moving
+    (see :func:`refine_pose`). ``lr_rotation`` and ``lr_translation`` are
+    the initial learning rates of the angle and translation blocks.
     ``fine_stride`` subsamples frames during optimization; ``inliers_only``
     restricts the active set to the RANSAC inliers when the caller
     provides them.
@@ -147,8 +156,17 @@ def adam_step(
     return AdamState(m=m, v=v, step=step), delta
 
 
-def _loss_and_gradient_on_blocks(blocks: Sequence[CameraBlock], pose: EulerPose) -> LossReport:
+def _loss_and_gradient_on_blocks(
+    blocks: Sequence[CameraBlock], pose: EulerPose, base: Optional[np.ndarray] = None
+) -> LossReport:
+    """Loss and gradient at rotation ``base @ R_zyx(angles)``.
+
+    Without ``base`` the rotation is ``R_zyx(angles)``, as in
+    :func:`loss_and_gradient`.
+    """
     rot, *drots = rotation_zyx_derivatives(pose.alpha, pose.beta, pose.gamma)
+    if base is not None:
+        rot = base @ rot
     trans = pose.translation
     loss_sum = 0.0
     # The sum over cameras of R_c^T S, with S = W Q^T: its first three
@@ -197,10 +215,11 @@ def _loss_and_gradient_on_blocks(blocks: Sequence[CameraBlock], pose: EulerPose)
         pulled += cam.rotation.T @ (w @ q.T)
     if active == 0:
         return LossReport(loss=0.0, gradient=np.zeros(6), active_count=0)
-    # Each angle gradient is sum_c <R_c dR, moment_c> = <dR, R_c^T moment_c>.
+    # Each angle gradient is sum_c <R_c B dR, moment_c> = <dR, B^T R_c^T moment_c>.
+    moment = pulled[:, :3] if base is None else base.T @ pulled[:, :3]
     grad = np.empty(6)
     for axis, drot in enumerate(drots):
-        grad[axis] = (drot * pulled[:, :3]).sum()
+        grad[axis] = (drot * moment).sum()
     grad[3:] = pulled[:, 3]
     grad /= active
     return LossReport(loss=loss_sum / (2.0 * active), gradient=grad, active_count=active)
@@ -231,43 +250,55 @@ def refine_pose(
 ) -> tuple[RigidTransform, np.ndarray]:
     """Polish ``init`` by Adam on the reprojection loss.
 
+    Optimizes the chart parameters of the module docstring, ``delta`` and
+    ``t'``, about ``init`` and the centroid of the selected points, and
+    maps the result back as ``R = R0 @ R_zyx(delta)``, ``t = t' - R c``.
     Runs at most ``cfg.steps`` updates, evaluating the loss before each
-    one. It stops early once the best loss has not fallen below
-    ``(1 - 1e-12)`` times the last anchor loss for 50 consecutive steps;
-    each such fall moves the anchor to the new best loss. Returns the
-    iterate with the lowest recorded loss together with the loss trace,
-    one entry per step run, starting at the initial pose. On noise-free
-    data the initial pose is already optimal and is returned unchanged.
+    one. The anchor starts at the initial parameters and moves to the
+    lowest-loss iterate whenever that iterate differs from it by more
+    than 1e-5 in some parameter (radians, or metres); the run stops once
+    the anchor is 50 steps old. Returns the iterate with the lowest
+    recorded loss together with the loss trace, one entry per step run,
+    starting at the initial pose. When no step lowers the initial loss,
+    as on noise-free data whose initial pose is already optimal, ``init``
+    itself is returned.
 
     Raises :class:`EmptyActiveSetError` when no correspondence is active
     at the initial pose.
     """
-    alpha, beta, gamma = rotation_to_euler(init.rotation)
-    params = np.concatenate(([alpha, beta, gamma], init.translation))
     blocks = cset.camera_blocks(stride=cfg.fine_stride, restrict_to=restrict_to)
+    # camera_blocks returns fresh arrays, and points3d views the rows of
+    # homogeneous that projection reads, so centring them here is safe.
+    points = [block.points3d for block in blocks]
+    centroid = np.concatenate(points).mean(axis=0) if points else np.zeros(3)
+    for block_points in points:
+        block_points -= centroid
+    base = init.rotation
+    params = np.concatenate((np.zeros(3), init.translation + base @ centroid))
 
     state = AdamState.zeros()
     trace = np.empty(cfg.steps)
-    best_params = params.copy()
-    best_loss = math.inf
-    anchor_loss, anchor_step = math.inf, 0
+    best_loss, best_params, best_step = math.inf, params, 0
+    anchor, anchor_step = params, 0
     for step in range(cfg.steps):
-        report = _loss_and_gradient_on_blocks(blocks, EulerPose.from_vector(params))
+        report = _loss_and_gradient_on_blocks(blocks, EulerPose.from_vector(params), base)
         if step == 0 and report.active_count == 0:
             raise EmptyActiveSetError(
                 "no valid positive-depth correspondence at the initial pose"
             )
         trace[step] = report.loss
         if report.active_count > 0 and report.loss < best_loss:
-            best_loss = report.loss
-            best_params = params.copy()
-        if best_loss < (1.0 - _PLATEAU_RTOL) * anchor_loss:
-            anchor_loss, anchor_step = best_loss, step
-        elif step - anchor_step >= _PLATEAU_STEPS:
+            best_loss, best_params, best_step = report.loss, params, step
+            if np.abs(params - anchor).max() > _PLATEAU_TOL:
+                anchor, anchor_step = params, step
+        if step - anchor_step >= _PLATEAU_STEPS:
             break
         lr_rot = cosine_lr(step, cfg.steps, cfg.lr_rotation, _COSINE_FLOOR)
         lr_trans = cosine_lr(step, cfg.steps, cfg.lr_translation, _COSINE_FLOOR)
         state, delta = adam_step(state, report.gradient, lr_rot, lr_trans)
         params = params + delta
-    best = EulerPose.from_vector(best_params)
-    return best.to_transform(), trace[: step + 1]
+    trace = trace[: step + 1]
+    if best_step == 0:
+        return init, trace
+    rotation = base @ rotation_zyx(*best_params[:3])
+    return RigidTransform(rotation, best_params[3:] - rotation @ centroid), trace

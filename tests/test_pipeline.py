@@ -18,6 +18,7 @@ from mocapcal import (
     count_inliers,
     project_points,
     rotation_geodesic_deg,
+    rotation_zyx,
     run_ransac,
 )
 from mocapcal import ransac
@@ -160,6 +161,68 @@ class TestCalibrate:
         assert abs(report.gt_rotation_err_deg - rot_err) < 1e-12
         assert abs(report.gt_translation_err_m - trans_err) < 1e-12
         assert abs(report.mpjpe_gt - compute_mpjpe(session.correspondences, gt)) < 1e-12
+
+
+def pose_errors(session, ransac_cfg, refine_cfg):
+    """Rotation (deg) and translation (m) error of calibrating one session."""
+    report = calibrate(
+        session.correspondences, ransac_cfg, refine_cfg, gt_extrinsic=session.gt_extrinsic
+    )
+    return report.gt_rotation_err_deg, report.gt_translation_err_m
+
+
+class TestHardSessions:
+    """Sessions that refinement in ZYX Euler angles about the MoCap origin missed."""
+
+    @pytest.mark.parametrize("beta_deg", [0.0, 89.0, 89.9, -89.0])
+    def test_recovers_a_rotation_near_gimbal_lock(self, beta_deg):
+        # Criterion 4's sessions and the noisy_sweep workload's configs. With
+        # the pose refined in Euler angles, beta = 89 deg and -89 deg each
+        # missed the gate on 2 of these 8 seeds.
+        gt = RigidTransform(
+            rotation_zyx(0.3, math.radians(beta_deg), -0.4), np.array([0.1, -0.2, 0.05])
+        )
+        for seed in range(1, 9):
+            session = generate(
+                SynthConfig(
+                    n_frames=300,
+                    noise_sigma=2.0,
+                    outlier_fraction=0.2,
+                    gt_extrinsic=gt,
+                    seed=seed,
+                )
+            )
+            rot_err, trans_err = pose_errors(
+                session,
+                RansacConfig(tau=6.0, iterations=400, seed=seed, coarse_stride=5),
+                RefineConfig(steps=800, fine_stride=1),
+            )
+            assert rot_err < 0.5 and trans_err < 0.02, (seed, rot_err, trans_err)
+
+    def test_distorted_mono_worst_session(self):
+        # The distorted_mono workload's session 3 of run seed 4, with that
+        # workload's synth and configs. Refined in Euler angles about the
+        # MoCap origin it read 0.497 deg, at the edge of criterion 4's gate.
+        seed = 1727852838
+        session = generate(
+            SynthConfig(
+                n_cameras=1,
+                n_joints=17,
+                n_frames=600,
+                noise_sigma=2.0,
+                outlier_fraction=0.5,
+                invalid_fraction=0.2,
+                distortion=DistortionCoeffs(k1=0.3, k2=0.1),
+                seed=seed,
+            )
+        )
+        rot_err, trans_err = pose_errors(
+            session,
+            RansacConfig(tau=6.0, iterations=2000, seed=seed, coarse_stride=2),
+            RefineConfig(steps=200, fine_stride=1),
+        )
+        assert rot_err < 0.3
+        assert trans_err < 0.02
 
 
 def session_with_entries_behind_camera():

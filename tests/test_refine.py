@@ -369,7 +369,9 @@ class TestRefinePose:
         refined, trace = refine_pose(session.correspondences, init, cfg)
         assert rotation_geodesic_deg(refined.rotation, gt.rotation) < 1e-4
         assert np.linalg.norm(refined.translation - gt.translation) < 1e-5
-        assert trace[-1] < 1e-10
+        # Noise-free, so the optimum's loss is 0; the returned pose's is
+        # the least in the trace.
+        assert trace.min() < 1e-9
 
     def test_returned_rotation_is_orthonormal(self):
         session = generate(SynthConfig(n_cameras=2, n_joints=10, n_frames=30, noise_sigma=3.0, seed=7))
@@ -396,9 +398,19 @@ class TestRefinePose:
         subset = np.flatnonzero(cset.joint_indices % 3 != 0)
         cfg = RefineConfig(steps=5, fine_stride=2)
         _, trace = refine_pose(cset, init, cfg, restrict_to=subset)
-        start = EulerPose(*rotation_to_euler(init.rotation), init.translation)
-        loss = loss_and_gradient(cset, start, stride=2, restrict_to=subset).loss
+        # The start of the chart: the selected points centred on their
+        # centroid, no turn about init's rotation, and the translation that
+        # acts on the centred points.
+        blocks = cset.camera_blocks(stride=2, restrict_to=subset)
+        centroid = np.concatenate([block.points3d for block in blocks]).mean(axis=0)
+        for block in blocks:
+            block.points3d[...] -= centroid
+        start = EulerPose(0.0, 0.0, 0.0, init.translation + init.rotation @ centroid)
+        loss = refine._loss_and_gradient_on_blocks(blocks, start, init.rotation).loss
         assert trace[0].tobytes() == np.float64(loss).tobytes()
+        uncentred = EulerPose(*rotation_to_euler(init.rotation), init.translation)
+        reference = loss_and_gradient(cset, uncentred, stride=2, restrict_to=subset).loss
+        assert abs(trace[0] - reference) <= 1e-12 * reference
 
     def test_all_behind_camera_raises(self):
         cam = basic_camera()
@@ -448,14 +460,47 @@ def noisy_inlier_problem(seed=9):
     return cset, hyp.transform, count_inliers(cset, hyp.transform, tau=6.0).ids
 
 
+def spy_on_chart_parameters(monkeypatch):
+    """Record the chart parameters of every loss evaluation refine_pose makes."""
+    seen = []
+    kernel = refine._loss_and_gradient_on_blocks
+
+    def spy(blocks, pose, base=None):
+        seen.append(pose.as_vector())
+        return kernel(blocks, pose, base)
+
+    monkeypatch.setattr(refine, "_loss_and_gradient_on_blocks", spy)
+    return seen
+
+
+def pose_rule_stop(trace, params):
+    """The step at which the pose-space plateau rule stops a run, or None.
+
+    Written out from the rule: the anchor starts at the first parameters
+    and moves to a new lowest-loss iterate that differs from it by more
+    than ``_PLATEAU_TOL`` in some parameter; the run stops once the anchor
+    is ``_PLATEAU_STEPS`` steps old.
+    """
+    best_loss, anchor, anchor_step = math.inf, params[0], 0
+    for step, (loss, vec) in enumerate(zip(trace, params)):
+        if loss < best_loss:
+            best_loss = loss
+            if np.abs(vec - anchor).max() > refine._PLATEAU_TOL:
+                anchor, anchor_step = vec, step
+        if step - anchor_step >= refine._PLATEAU_STEPS:
+            return step
+    return None
+
+
 class TestPlateauStop:
-    def test_noisy_run_stops_on_a_plateau(self):
+    def test_noisy_run_stops_on_a_plateau(self, monkeypatch):
         cset, init, inliers = noisy_inlier_problem()
         cfg = RefineConfig(steps=2000, fine_stride=1)
+        params = spy_on_chart_parameters(monkeypatch)
         _, trace = refine_pose(cset, init, cfg, restrict_to=inliers)
-        window = refine._PLATEAU_STEPS
         assert len(trace) < cfg.steps
-        assert trace[-window:].min() >= (1.0 - refine._PLATEAU_RTOL) * trace[:-window].min()
+        assert len(params) == len(trace)
+        assert pose_rule_stop(trace, params) == len(trace) - 1
 
     def test_stopped_pose_matches_the_uncapped_run(self, monkeypatch):
         cset, init, inliers = noisy_inlier_problem()
@@ -464,29 +509,33 @@ class TestPlateauStop:
         monkeypatch.setattr(refine, "_PLATEAU_STEPS", cfg.steps)
         full, full_trace = refine_pose(cset, init, cfg, restrict_to=inliers)
         assert len(full_trace) == cfg.steps
-        assert abs(stopped_trace.min() - full_trace.min()) <= 1e-12 * full_trace.min()
-        assert rotation_geodesic_deg(stopped.rotation, full.rotation) < 1e-6
-        assert np.abs(stopped.translation - full.translation).max() < 1e-8
+        # The stop cuts the same run short.
+        assert full_trace[: len(stopped_trace)].tobytes() == stopped_trace.tobytes()
+        # Bounds from the tolerance: a pose within _PLATEAU_TOL (radians,
+        # metres) of the uncapped one, and a loss within that share of it.
+        tol = refine._PLATEAU_TOL
+        assert stopped_trace.min() - full_trace.min() <= tol * full_trace.min()
+        assert rotation_geodesic_deg(stopped.rotation, full.rotation) < math.degrees(tol)
+        assert np.abs(stopped.translation - full.translation).max() < tol
 
-    def test_descending_run_uses_every_step_of_its_cap(self):
+    def test_descending_run_uses_every_step_of_its_cap(self, monkeypatch):
         session = generate(SynthConfig(n_cameras=2, n_joints=17, n_frames=60, seed=6))
         gt = session.gt_extrinsic
         wobble = rotation_zyx(*np.deg2rad([2.0, 0.0, 0.0]))
         init = RigidTransform(gt.rotation @ wobble, gt.translation + np.array([0.05, 0.0, 0.0]))
-        window = refine._PLATEAU_STEPS
-        cfg = RefineConfig(steps=4 * window, fine_stride=1, inliers_only=False)
+        cfg = RefineConfig(steps=4 * refine._PLATEAU_STEPS, fine_stride=1, inliers_only=False)
+        params = spy_on_chart_parameters(monkeypatch)
         _, trace = refine_pose(session.correspondences, init, cfg)
         assert len(trace) == cfg.steps
-        best = np.minimum.accumulate(trace)
-        assert np.all(best[window:] < (1.0 - refine._PLATEAU_RTOL) * best[:-window])
+        assert pose_rule_stop(trace, params) is None
 
     def test_start_at_optimum_stops_after_one_window(self):
         session = generate(SynthConfig(n_cameras=2, n_joints=17, n_frames=40, seed=5))
         gt = session.gt_extrinsic
         refined, trace = refine_pose(session.correspondences, gt, RefineConfig())
         assert len(trace) == refine._PLATEAU_STEPS + 1
-        assert np.linalg.norm(refined.rotation - gt.rotation) < 1e-9
-        assert np.linalg.norm(refined.translation - gt.translation) < 1e-9
+        assert refined.rotation.tobytes() == gt.rotation.tobytes()
+        assert refined.translation.tobytes() == gt.translation.tobytes()
 
 
 def two_step_depths(camera, transform, points):
