@@ -14,9 +14,11 @@ Sessions:
     fine stride 1), with ground truth;
   * mono0-2: one camera with pincushion distortion (k1 0.3, k2 0.1),
     50 % outliers and 20 % invalid entries, calibrated with ground truth
-    (``-gt``) and without it (``-nogt``). On mono0 the refined pose raises
-    the MPJPE over all valid entries, outliers included, so it is rejected,
-    which covers the branch that reports the initial pose;
+    (``-gt``) and without it (``-nogt``). No refinement is rejected here:
+    mono0's was, at 0.276 deg / 21.7 mm, until refinement drew its inlier
+    gate again as it ran, and now reaches 0.028 deg / 1.05 mm. The branch
+    that reports the initial pose is covered by
+    ``tests/test_pipeline.py::TestEvaluationAgainstScalarReference::test_rejected_refinement_counts_the_initial_pose``;
   * clean0-3: noiseless 2-camera sessions. Their initial pose is already at
     machine precision, so on clean0, clean1 and clean3 no refinement step
     lowers the loss and refinement returns the initial pose itself;

@@ -1,12 +1,13 @@
 """End-to-end calibration: robust search, refinement, and reporting.
 
 ``calibrate`` wires the stages together: a RANSAC search over minimal
-samples initializes the MoCap-to-world transform, its stride-1 inliers
-feed the gradient refinement, and the refined pose is accepted only when
-it does not worsen the full-set mean reprojection error. Each pose is
-evaluated in one pass over the stride-1 blocks. The report holds the
-estimate, quality metrics, optional ground-truth errors, timing, and an
-echo of the configuration for reproducibility.
+samples initializes the MoCap-to-world transform, the gradient
+refinement polishes it over the entries within the inlier radius, a
+gate it draws again at its best pose as it runs, and the refined pose is
+accepted only when it does not worsen the full-set mean reprojection
+error. Each pose is evaluated in one pass over the stride-1 blocks. The
+report holds the estimate, quality metrics, optional ground-truth
+errors, timing, and an echo of the configuration for reproducibility.
 """
 
 from __future__ import annotations
@@ -62,23 +63,18 @@ class CalibrationReport:
     warnings: tuple[str, ...] = ()
 
 
-def _evaluate(
-    blocks: Sequence[CameraBlock], transform: RigidTransform, tau: Optional[float] = None
-) -> tuple[float, int, Optional[np.ndarray]]:
-    """One pass of ``transform``: MPJPE, positive-depth count, inlier ids if ``tau``."""
+def _evaluate(blocks: Sequence[CameraBlock], transform: RigidTransform) -> tuple[float, int]:
+    """One pass of ``transform``: MPJPE and positive-depth count."""
     total = 0.0
     count = 0
-    id_chunks = []
     rotations, translations = transform.rotation[None], transform.translation[None]
     for block in blocks:
-        sq, front, keep = _evaluate_block(block, rotations, translations, tau)
+        sq, front, _ = _evaluate_block(block, rotations, translations)
         total += float(np.sqrt(sq[0][front[0]]).sum())
         count += int(np.count_nonzero(front))
-        if keep is not None:
-            id_chunks.append(block.entry_ids[keep[0]])
     if count == 0:
         raise EmptyActiveSetError("no valid positive-depth correspondence to average")
-    return total / count, count, np.concatenate(id_chunks) if id_chunks else None
+    return total / count, count
 
 
 def compute_mpjpe(
@@ -104,13 +100,14 @@ def calibrate(
 ) -> CalibrationReport:
     """Estimate the MoCap-to-world transform and report on the run.
 
-    The search scores hypotheses at ``ransac_cfg.coarse_stride``. Then each
-    pose (initial, refined, ground truth) is evaluated in one pass over the
-    stride-1 blocks; the initial pass also gives the inliers that, when
-    ``refine_cfg.inliers_only`` is set, restrict the refinement. If
-    refinement worsens the stride-1 mean reprojection error over all valid
-    entries, the initial estimate and its positive-depth count are kept and
-    the report says so.
+    The search scores hypotheses at ``ransac_cfg.coarse_stride``. When
+    ``refine_cfg.inliers_only`` is set, refinement runs over the entries
+    within ``ransac_cfg.tau`` of its start and of its best pose so far (see
+    :func:`mocapcal.refine.refine_pose`); otherwise over every valid entry.
+    Each pose (initial, refined, ground truth) is evaluated in one pass
+    over the stride-1 blocks. If refinement worsens the stride-1 mean
+    reprojection error over all valid entries, the initial estimate and
+    its positive-depth count are kept and the report says so.
 
     Ground-truth errors and ``mpjpe_gt`` are filled in when
     ``gt_extrinsic`` is given. Timing excludes I/O performed by callers.
@@ -119,13 +116,12 @@ def calibrate(
     hypothesis = run_ransac(cset, ransac_cfg)
     t_ransac = time.perf_counter()
 
-    init = _evaluate(cset.camera_blocks(stride=1), hypothesis.transform, ransac_cfg.tau)
-    mpjpe_init, init_depth, inlier_ids = init
-    restrict = inlier_ids if refine_cfg.inliers_only else None
-    refined, _ = refine_pose(cset, hypothesis.transform, refine_cfg, restrict_to=restrict)
+    mpjpe_init, init_depth = _evaluate(cset.camera_blocks(stride=1), hypothesis.transform)
+    tau = ransac_cfg.tau if refine_cfg.inliers_only else None
+    refined, _ = refine_pose(cset, hypothesis.transform, refine_cfg, tau=tau)
     # Built again, not held: held through refinement they slow it down.
     blocks = cset.camera_blocks(stride=1)
-    mpjpe_refined, positive_depth, _ = _evaluate(blocks, refined)
+    mpjpe_refined, positive_depth = _evaluate(blocks, refined)
 
     rejected = bool(mpjpe_refined > mpjpe_init)
     final = refined

@@ -19,9 +19,10 @@ The work is done in bulk. Every valid pixel's bearing is computed once
 per run, and each iteration indexes the three it samples; a sample with a
 pixel the distortion model cannot invert is degenerate. Every
 iteration's sample is drawn up front, before any is solved, and solved
-per chunk: the samples of ``_SAMPLE_ITERATIONS`` consecutive iterations
-go through one batch P3P call, and their MoCap poses come out of one
-stacked product per camera. The solutions of
+per chunk: the samples of consecutive iterations go through one batch
+P3P call, ``_SCORE_ITERATIONS`` of them in the first chunk and twice as
+many in each later one up to ``_SAMPLE_ITERATIONS``, and their MoCap
+poses come out of one stacked product per camera. The solutions of
 ``_SCORE_ITERATIONS`` consecutive iterations are scored together on the
 stacked projection chain (the batching of preemptive RANSAC, Nister
 2005), each camera block in segments. After each segment a hypothesis is
@@ -34,12 +35,20 @@ inliers, the earliest (iteration, solution) among those that tie, which
 is the one full scoring would pick, and only it becomes a
 :class:`RigidTransform`.
 
+The search stops after k iterations once k >= log(1 - p) / log(1 - w**3),
+with p = ``_CONFIDENCE`` and w the best count so far over the scored
+entries (Fischler and Bolles, CACM 1981), and at ``RansacConfig.iterations``
+at the latest. The rule is checked after every iteration: the counts of
+the poses that reach the bound are exact, and a dropped pose cannot
+become the best, so the best after each iteration of a scored group is
+known.
+
 A run draws its samples from one RNG stream, the first child spawned
 from its seed, at four uniforms per iteration, all drawn before the
 first chunk. Iteration k's sample depends on row k alone, so the result
 depends neither on how iterations are chunked nor, the bail-out test
-being exact, on the segment sizes, and a longer run extends a shorter
-one.
+being exact, on the segment sizes, and a run that stops after k
+iterations equals a run of k iterations that the rule does not stop.
 """
 
 from __future__ import annotations
@@ -69,8 +78,17 @@ _SCORE_ITERATIONS = 8
 # came within 5 % of 512 either way, with no consistent winner.
 _MIN_SEGMENT = 512
 
-# Consecutive iterations whose minimal samples are solved in one batch.
+# Most consecutive iterations whose minimal samples are solved in one
+# batch. The first batch holds _SCORE_ITERATIONS iterations and each later
+# one twice as many as the one before, up to this, so a run that stops
+# after a few dozen iterations solves few samples it never scores.
 _SAMPLE_ITERATIONS = 256
+
+# Confidence p of the stopping rule: the search stops after k iterations
+# once k >= log(1 - p) / log(1 - w**3), with w the best count so far over
+# the scored entries (Fischler and Bolles, "Random sample consensus", CACM
+# 1981). It is then that likely to have drawn an all-inlier sample.
+_CONFIDENCE = 0.9999
 
 
 class CameraBlock(NamedTuple):
@@ -349,9 +367,11 @@ def count_inliers(
 class RansacConfig:
     """Settings for the hypothesis search.
 
-    ``tau`` is the inlier radius in pixels, ``coarse_stride`` the frame
-    stride used while scoring, and ``min_inlier_ratio`` the fraction of
-    scored entries the winning hypothesis must explain.
+    ``tau`` is the inlier radius in pixels, ``iterations`` the most
+    iterations a search runs (it stops earlier at its confidence bound;
+    see :func:`run_ransac`), ``coarse_stride`` the frame stride used while
+    scoring, and ``min_inlier_ratio`` the fraction of scored entries the
+    winning hypothesis must explain.
     """
 
     tau: float = 10.0
@@ -375,12 +395,17 @@ class RansacConfig:
 
 @dataclass(frozen=True, eq=False)
 class Hypothesis:
-    """A scored pose hypothesis; ``source`` is (iteration, solution index)."""
+    """A scored pose hypothesis; ``source`` is (iteration, solution index).
+
+    ``iterations`` is the number of iterations the search ran, at most
+    ``RansacConfig.iterations``.
+    """
 
     transform: RigidTransform
     inlier_count: int
     inlier_ratio: float  # inlier_count over the number of scored entries
     source: tuple[int, int]
+    iterations: int
 
 
 def _sample_groups(cset: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -477,6 +502,19 @@ def _sample_chunk(
     return iterations, solution, rotations, translations
 
 
+def _iterations_needed(count: int, n_scored: int) -> float:
+    """Iterations after which the stopping rule holds, for a best count ``count``.
+
+    Infinite when ``count`` is 0 or ``_CONFIDENCE`` is 1: the rule never
+    holds then, and the run goes on to its cap.
+    """
+    if count == 0 or _CONFIDENCE >= 1.0:
+        return math.inf
+    if count == n_scored:
+        return 0.0
+    return math.log1p(-_CONFIDENCE) / math.log1p(-((count / n_scored) ** 3))
+
+
 def run_ransac(
     cset: CorrespondenceSet,
     cfg: RansacConfig = RansacConfig(),
@@ -490,15 +528,18 @@ def run_ransac(
     draws are made up front, a row of four uniforms each, from one stream
     spawned from ``cfg.seed`` (see :func:`_sample_draws`), so iteration
     k's sample is the same whatever the iteration count. The samples of
-    ``_SAMPLE_ITERATIONS`` consecutive iterations are solved in one batch;
-    degenerate samples and rootless quartics consume their iteration. The
+    consecutive iterations are solved in batches that double from
+    ``_SCORE_ITERATIONS`` to ``_SAMPLE_ITERATIONS`` iterations; degenerate
+    samples and rootless quartics consume their iteration. The
     solutions of ``_SCORE_ITERATIONS`` consecutive iterations are scored
     together, bounded by the best count so far plus one (see
     :func:`_score_blocks`): a scan counts inliers and drops a solution once
     it can no longer beat that count. The winner is the solution with the
     most inliers; among solutions that tie on the count, the earliest
-    (iteration, solution) wins. Neither chunk size nor the bound changes
-    the result.
+    (iteration, solution) wins. ``cfg.iterations`` caps the run: it stops
+    after the first iteration at which the confidence rule of the module
+    docstring holds, and ``Hypothesis.iterations`` says how many ran.
+    Neither chunk size nor the bound changes the result.
     ``workers`` has no effect: the search runs one sequential path. It is
     accepted only because the benchmark's per-layer probe still passes it;
     it goes when that probe does.
@@ -521,21 +562,37 @@ def run_ransac(
 
     bearings = _entry_bearings(cset)
     samples = _sample_ids(groups, _sample_draws(cfg.seed, cfg.iterations))
-    count, best = -1, None
-    for first in range(0, cfg.iterations, _SAMPLE_ITERATIONS):
-        last = min(first + _SAMPLE_ITERATIONS, cfg.iterations)
+    count, best, needed, run = -1, None, math.inf, cfg.iterations
+    first, size = 0, min(_SCORE_ITERATIONS, _SAMPLE_ITERATIONS)
+    while first < run:
+        last = min(first + size, run)
         iters, sols, rots, transs = _sample_chunk(cset, samples, bearings, first, last)
-        edges = np.searchsorted(iters, range(first, last, _SCORE_ITERATIONS)).tolist()
-        for lo, hi in zip(edges, edges[1:] + [iters.size]):
-            if lo == hi:
-                continue
+        for start in range(first, last, _SCORE_ITERATIONS):
+            # edges[i]:edges[i + 1] are the solutions of iteration start + i.
+            stop = min(start + _SCORE_ITERATIONS, last)
+            edges = np.searchsorted(iters, range(start, stop + 1)).tolist()
+            lo, hi = edges[0], edges[-1]
             counts = _score_blocks(blocks, rots[lo:hi], transs[lo:hi], cfg.tau, count + 1)
-            # argmax takes the first of the group's tied maxima, and only a
-            # strictly larger count replaces the best, so the earliest wins.
-            j = int(np.argmax(counts))
-            if counts[j] > count:
-                count, j = int(counts[j]), lo + j
-                best = ((int(iters[j]), int(sols[j])), rots[j], transs[j])
+            # Walk the group iteration by iteration, so the rule is checked
+            # after each one. A pose the bound dropped counts at most
+            # ``count`` and never becomes the best.
+            for k in range(start, stop):
+                a, b = edges[k - start] - lo, edges[k - start + 1] - lo
+                if a < b:
+                    # argmax takes the first of tied maxima, and only a
+                    # strictly larger count replaces the best, so the
+                    # earliest wins.
+                    j = a + int(np.argmax(counts[a:b]))
+                    if counts[j] > count:
+                        count, j = int(counts[j]), lo + j
+                        best = ((k, int(sols[j])), rots[j], transs[j])
+                        needed = _iterations_needed(count, n_scored)
+                if k + 1 >= needed:
+                    run = k + 1
+                    break
+            if run < last:
+                break
+        first, size = last, min(2 * size, _SAMPLE_ITERATIONS)
 
     if best is None:
         raise InsufficientConsensusError(
@@ -550,5 +607,5 @@ def run_ransac(
         )
     return Hypothesis(
         RigidTransform(rotation, translation),
-        inlier_count=count, inlier_ratio=ratio, source=source
+        inlier_count=count, inlier_ratio=ratio, source=source, iterations=run
     )

@@ -30,7 +30,10 @@ stopped moving.
 
 Only strictly positive-depth entries contribute; the active-set size
 therefore varies with the pose, and the loss is always an average over
-the entries actually used.
+the entries actually used. Given an inlier radius, refinement also
+chooses its entries: it keeps those within the radius of the start, and
+draws that gate again at the best iterate as it goes, so the set it
+converges on is the inlier set of the pose it returns.
 """
 
 from __future__ import annotations
@@ -50,13 +53,18 @@ from .geometry import (
     rotation_zyx,
     rotation_zyx_derivatives,
 )
-from .ransac import CameraBlock, CorrespondenceSet
+from .ransac import CameraBlock, CorrespondenceSet, _evaluate_block
 
 # Plateau stop: refinement ends once the best iterate has stayed within
 # _PLATEAU_TOL of the anchor, in every chart parameter (radians about R0,
 # metres on the centred translation), for _PLATEAU_STEPS steps.
 _PLATEAU_TOL = 1e-5
 _PLATEAU_STEPS = 50
+
+# With an inlier radius, the active set is drawn again at the best iterate
+# every _REGATE_STEPS steps. A gate only at the plateau comes too late: by
+# then the schedule has brought the learning rates down to about 1 %.
+_REGATE_STEPS = 25
 
 # Adam's decay rates and denominator guard, the standard values of Kingma
 # and Ba ("Adam", ICLR 2015).
@@ -77,8 +85,8 @@ class RefineConfig:
     (see :func:`refine_pose`). ``lr_rotation`` and ``lr_translation`` are
     the initial learning rates of the angle and translation blocks.
     ``fine_stride`` subsamples frames during optimization; ``inliers_only``
-    restricts the active set to the RANSAC inliers when the caller
-    provides them.
+    makes :func:`mocapcal.pipeline.calibrate` pass its inlier radius, so
+    the active set is the inliers of the pose being refined.
     """
 
     steps: int = 2000
@@ -242,11 +250,40 @@ def loss_and_gradient(
     return _loss_and_gradient_on_blocks(blocks, pose)
 
 
+def _regate(
+    full: Sequence[CameraBlock],
+    masks: Optional[list[np.ndarray]],
+    params: np.ndarray,
+    base: np.ndarray,
+    tau: float,
+) -> Optional[tuple[list[np.ndarray], list[CameraBlock]]]:
+    """Masks and blocks of the entries of ``full`` within ``tau`` of the chart pose ``params``.
+
+    Returns None when the masks equal ``masks``; they are compared before
+    anything is copied. A gated block is copied C-ordered, as
+    :meth:`CorrespondenceSet.camera_blocks` builds one, so its products
+    take the same bits; a boolean column index would give an F-ordered
+    copy.
+    """
+    rotation = (base @ rotation_zyx(*params[:3]))[None]
+    new = [_evaluate_block(block, rotation, params[None, 3:], tau)[2][0] for block in full]
+    if masks is not None and all(map(np.array_equal, new, masks)):
+        return None
+    blocks = []
+    for block, mask in zip(full, new):
+        if mask.any():
+            q = np.compress(mask, block.homogeneous, axis=1)
+            pts2 = np.compress(mask, block.points2d.T, axis=1).T
+            blocks.append(CameraBlock(block.camera, block.entry_ids[mask], q[:3].T, pts2, q))
+    return new, blocks
+
+
 def refine_pose(
     cset: CorrespondenceSet,
     init: RigidTransform,
     cfg: RefineConfig = RefineConfig(),
     restrict_to: Optional[np.ndarray] = None,
+    tau: Optional[float] = None,
 ) -> tuple[RigidTransform, np.ndarray]:
     """Polish ``init`` by Adam on the reprojection loss.
 
@@ -263,18 +300,30 @@ def refine_pose(
     as on noise-free data whose initial pose is already optimal, ``init``
     itself is returned.
 
+    With ``tau``, the active set is the selected entries within ``tau``
+    pixels of a pose, the inlier rule of :func:`mocapcal.ransac.count_inliers`.
+    It is drawn at ``init``, then again at the lowest-loss iterate every
+    ``_REGATE_STEPS`` steps and when the plateau rule fires: the local
+    optimisation of LO-RANSAC (Chum, Matas and Kittler, DAGM 2003) inside
+    one run, with one Adam state and one schedule. A plateau ends the run
+    only when its gate leaves the set as it was. A gate that changes the
+    set restarts the lowest loss and the anchor, since losses over
+    different sets do not compare. The centroid is that of every selected
+    entry, so the chart stays put.
+
     Raises :class:`EmptyActiveSetError` when no correspondence is active
     at the initial pose.
     """
-    blocks = cset.camera_blocks(stride=cfg.fine_stride, restrict_to=restrict_to)
+    full = cset.camera_blocks(stride=cfg.fine_stride, restrict_to=restrict_to)
     # camera_blocks returns fresh arrays, and points3d views the rows of
     # homogeneous that projection reads, so centring them here is safe.
-    points = [block.points3d for block in blocks]
+    points = [block.points3d for block in full]
     centroid = np.concatenate(points).mean(axis=0) if points else np.zeros(3)
     for block_points in points:
         block_points -= centroid
     base = init.rotation
     params = np.concatenate((np.zeros(3), init.translation + base @ centroid))
+    masks, blocks = (None, full) if tau is None else _regate(full, None, params, base, tau)
 
     state = AdamState.zeros()
     trace = np.empty(cfg.steps)
@@ -291,7 +340,13 @@ def refine_pose(
             best_loss, best_params, best_step = report.loss, params, step
             if np.abs(params - anchor).max() > _PLATEAU_TOL:
                 anchor, anchor_step = params, step
-        if step - anchor_step >= _PLATEAU_STEPS:
+        plateau = step - anchor_step >= _PLATEAU_STEPS
+        if masks is not None and (plateau or (step + 1) % _REGATE_STEPS == 0):
+            gated = _regate(full, masks, best_params, base, tau)
+            if gated is not None:
+                (masks, blocks), best_loss, anchor, anchor_step = gated, math.inf, params, step
+                plateau = False
+        if plateau:
             break
         lr_rot = cosine_lr(step, cfg.steps, cfg.lr_rotation, _COSINE_FLOOR)
         lr_trans = cosine_lr(step, cfg.steps, cfg.lr_translation, _COSINE_FLOOR)

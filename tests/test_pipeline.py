@@ -172,7 +172,8 @@ def pose_errors(session, ransac_cfg, refine_cfg):
 
 
 class TestHardSessions:
-    """Sessions that refinement in ZYX Euler angles about the MoCap origin missed."""
+    """Sessions that refinement in ZYX Euler angles about the MoCap origin, or
+    one inlier gate drawn around the RANSAC pose, left off the mark."""
 
     @pytest.mark.parametrize("beta_deg", [0.0, 89.0, 89.9, -89.0])
     def test_recovers_a_rotation_near_gimbal_lock(self, beta_deg):
@@ -223,6 +224,22 @@ class TestHardSessions:
         )
         assert rot_err < 0.3
         assert trans_err < 0.02
+
+    def test_high_outlier_fraction(self):
+        # 65 % outliers, so a minimal sample is all inliers about 4 % of the
+        # time, and the confidence stop runs for hundreds of iterations. With
+        # the gate drawn once around the RANSAC pose these seeds read a median
+        # of 0.261 deg and a maximum of 0.432 deg.
+        for seed in range(1, 9):
+            session = generate(
+                SynthConfig(n_frames=300, noise_sigma=2.0, outlier_fraction=0.65, seed=seed)
+            )
+            ransac_cfg = RansacConfig(tau=6.0, iterations=2000, seed=seed, coarse_stride=5)
+            assert run_ransac(session.correspondences, ransac_cfg).iterations < 2000
+            rot_err, trans_err = pose_errors(
+                session, ransac_cfg, RefineConfig(steps=800, fine_stride=1)
+            )
+            assert rot_err < 0.5 and trans_err < 0.02, (seed, rot_err, trans_err)
 
 
 def session_with_entries_behind_camera():

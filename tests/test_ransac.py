@@ -1,4 +1,6 @@
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -507,24 +509,36 @@ def unbounded_score(blocks, rotations, translations, tau):
 
 
 def unbounded_ransac(cset, cfg):
-    """The winner's source, count and pose bytes when every pose is scored in full.
+    """The winner's source, count, pose bytes and iterations run, every pose scored in full.
 
-    The winner is the first (iteration, solution) with the most inliers.
+    The winner is the first (iteration, solution) with the most inliers
+    among the iterations run. The run stops after the first iteration k,
+    counted from 1, with k >= log(1 - p) / log(1 - w**3), where w is the
+    best count so far over the scored entries and p is ``_CONFIDENCE``.
     """
     samples = drawn_samples(cset, cfg.seed, cfg.iterations)
     bearings = ransac._entry_bearings(cset)
     blocks = cset.camera_blocks(stride=cfg.coarse_stride)
+    n_scored = sum(block.entry_ids.size for block in blocks)
     iters, sols, rots, trans = ransac._sample_chunk(cset, samples, bearings, 0, cfg.iterations)
     totals = []
     for lo in range(0, iters.size, 16):
         totals += unbounded_score(blocks, rots[lo : lo + 16], trans[lo : lo + 16], cfg.tau)
-    j = totals.index(max(totals))
-    return (int(iters[j]), int(sols[j])), totals[j], rots[j].tobytes() + trans[j].tobytes()
+    best = None
+    for k in range(cfg.iterations):
+        for j in np.flatnonzero(iters == k):
+            if best is None or totals[j] > totals[best]:
+                best = j
+        w = totals[best] / n_scored if best is not None else 0.0
+        if w == 1.0 or w > 0.0 and k + 1 >= math.log(1 - ransac._CONFIDENCE) / math.log(1 - w**3):
+            break
+    pose = rots[best].tobytes() + trans[best].tobytes()
+    return (int(iters[best]), int(sols[best])), totals[best], pose, k + 1
 
 
 def outcome(hyp):
     pose = hyp.transform.rotation.tobytes() + hyp.transform.translation.tobytes()
-    return hyp.source, hyp.inlier_count, pose
+    return hyp.source, hyp.inlier_count, pose, hyp.iterations
 
 
 def spy_scanned(monkeypatch):
@@ -576,6 +590,8 @@ class TestBoundedScoring:
             monkeypatch.setattr(ransac, "_SCORE_ITERATIONS", size)
             monkeypatch.setattr(ransac, "_MIN_SEGMENT", segment)
             assert outcome(run_ransac(cset, cfg)) == want, (size, segment)
+        # The confidence stop fires before the cap, so the runs compared stop too.
+        assert want[3] < cfg.iterations
 
     @pytest.mark.parametrize("name", ["long_capture", "distorted_mono"])
     def test_bound_zero_is_unbounded_scoring(self, name, monkeypatch):
@@ -635,8 +651,12 @@ class TestBoundedScoring:
             return score(blocks, rotations, translations, tau, bound)
 
         monkeypatch.setattr(ransac, "_score_blocks", counting)
+        # The share is that of a run the confidence stop leaves at its cap: a
+        # run stopped after a few iterations scores few poses against a high
+        # bound, so its share is high while its total work is small.
+        monkeypatch.setattr(ransac, "_CONFIDENCE", 1.0)
         scanned = spy_scanned(monkeypatch)
-        run_ransac(cset, cfg)
+        assert run_ransac(cset, cfg).iterations == cfg.iterations
         share = sum(h * n for h, n in scanned) / (sum(poses) * n_scored)
         assert share < 0.5
 
@@ -652,3 +672,49 @@ class TestBoundedScoring:
         assert scanned[0][1] == 1700
         assert all(n >= 2 for _, n in scanned)
 
+
+def stopping_session(name):
+    synth_kw, ransac_kw = BOUNDED_SESSIONS[name]
+    cset = generate(SynthConfig(n_joints=17, seed=6, **synth_kw)).correspondences
+    return cset, RansacConfig(iterations=2000, seed=21, **ransac_kw)
+
+
+class TestConfidenceStop:
+    @pytest.mark.parametrize("name", list(BOUNDED_SESSIONS))
+    def test_a_stopped_run_is_a_fixed_run_cut_where_it_stopped(self, name, monkeypatch):
+        cset, cfg = stopping_session(name)
+        stopped = run_ransac(cset, cfg)
+        assert stopped.iterations < cfg.iterations
+        # A confidence of 1 never stops a run, so this one runs to its cap.
+        monkeypatch.setattr(ransac, "_CONFIDENCE", 1.0)
+        fixed = run_ransac(cset, replace(cfg, iterations=stopped.iterations))
+        assert outcome(fixed) == outcome(stopped)
+
+    def test_the_run_stops_at_the_first_iteration_the_rule_holds(self, monkeypatch):
+        cset, cfg = stopping_session("distorted_mono")
+        stopped = run_ransac(cset, cfg)
+        monkeypatch.setattr(ransac, "_CONFIDENCE", 1.0)
+        for cap in (stopped.iterations - 1, stopped.iterations):
+            hyp = run_ransac(cset, replace(cfg, iterations=cap))
+            w = hyp.inlier_ratio
+            needed = math.log(1 - 0.9999) / math.log(1 - w**3)
+            assert (cap >= needed) == (cap == stopped.iterations), (cap, needed)
+
+    def test_sample_chunks_double_up_to_their_cap(self, monkeypatch):
+        cset, cfg = stopping_session("noisy_sweep")
+        sizes = []
+        solve = ransac.solve_p3p_batch
+
+        def spy(points, bearings):
+            sizes.append(len(points))
+            return solve(points, bearings)
+
+        monkeypatch.setattr(ransac, "solve_p3p_batch", spy)
+        stopped = run_ransac(cset, cfg)
+        # The chunks before the last end before the stop.
+        assert sizes == [8 * 2**i for i in range(len(sizes))]
+        assert sum(sizes[:-1]) < stopped.iterations <= sum(sizes)
+        sizes.clear()
+        monkeypatch.setattr(ransac, "_CONFIDENCE", 1.0)
+        run_ransac(cset, replace(cfg, iterations=1000))
+        assert sizes == [8, 16, 32, 64, 128, 256, 256, 240]

@@ -538,6 +538,83 @@ class TestPlateauStop:
         assert refined.translation.tobytes() == gt.translation.tobytes()
 
 
+def spy_on_blocks(monkeypatch):
+    """Record the blocks, pose and base of every loss evaluation refine_pose makes."""
+    seen = []
+    kernel = refine._loss_and_gradient_on_blocks
+
+    def spy(blocks, pose, base=None):
+        seen.append((blocks, pose, base))
+        return kernel(blocks, pose, base)
+
+    monkeypatch.setattr(refine, "_loss_and_gradient_on_blocks", spy)
+    return seen
+
+
+def active_ids(blocks):
+    return np.concatenate([block.entry_ids for block in blocks])
+
+
+class TestInLoopGate:
+    TAU = 6.0
+
+    def test_gated_blocks_give_the_loss_of_camera_blocks(self, monkeypatch):
+        cset, init, _ = noisy_inlier_problem()
+        cfg = RefineConfig(steps=2000, fine_stride=1)
+        seen = spy_on_blocks(monkeypatch)
+        refine_pose(cset, init, cfg, tau=self.TAU)
+        monkeypatch.undo()
+        centroid = np.concatenate([b.points3d for b in cset.camera_blocks(stride=1)]).mean(axis=0)
+        firsts = {}
+        for blocks, pose, base in seen:
+            firsts.setdefault(active_ids(blocks).tobytes(), (blocks, pose, base))
+        # The gate drawn at the start moved at least once in the run.
+        assert len(firsts) >= 2
+        for blocks, pose, base in firsts.values():
+            assert all(block.homogeneous.flags.c_contiguous for block in blocks)
+            expected = cset.camera_blocks(stride=1, restrict_to=active_ids(blocks))
+            for block in expected:
+                block.points3d[...] -= centroid
+            got = refine._loss_and_gradient_on_blocks(blocks, pose, base)
+            want = refine._loss_and_gradient_on_blocks(expected, pose, base)
+            assert got.active_count == want.active_count
+            assert got.loss == want.loss
+            assert got.gradient.tobytes() == want.gradient.tobytes()
+
+    def test_the_gate_is_drawn_again_every_few_steps(self, monkeypatch):
+        # A gate drawn only when the plateau rule fires comes after the
+        # schedule has brought the learning rates close to their floor.
+        cset, init, _ = noisy_inlier_problem()
+        seen = spy_on_blocks(monkeypatch)
+        refine_pose(cset, init, RefineConfig(steps=2000, fine_stride=1), tau=self.TAU)
+        sets = [active_ids(blocks).tobytes() for blocks, _, _ in seen]
+        moves = [step for step in range(1, len(sets)) if sets[step] != sets[step - 1]]
+        assert moves[0] == refine._REGATE_STEPS
+        assert all(step % refine._REGATE_STEPS == 0 for step in moves)
+
+    def test_a_plateau_stop_keeps_the_entries_within_tau_of_the_returned_pose(
+        self, monkeypatch
+    ):
+        cset, init, _ = noisy_inlier_problem()
+        cfg = RefineConfig(steps=2000, fine_stride=1)
+        seen = spy_on_blocks(monkeypatch)
+        refined, trace = refine_pose(cset, init, cfg, tau=self.TAU)
+        assert len(trace) < cfg.steps
+        within = count_inliers(cset, refined, self.TAU, stride=cfg.fine_stride).ids
+        assert np.array_equal(np.sort(active_ids(seen[-1][0])), within)
+        # It is not the set at the start.
+        assert not np.array_equal(np.sort(active_ids(seen[0][0])), within)
+
+    def test_an_empty_gate_at_the_start_raises(self):
+        cset, init, _ = noisy_inlier_problem()
+        # Away from the RANSAC pose, which fits its own sample exactly, no
+        # entry lies within a micro-pixel.
+        shifted = RigidTransform(init.rotation, init.translation + np.array([0.01, 0.0, 0.0]))
+        assert count_inliers(cset, shifted, 1e-6).ids.size == 0
+        with pytest.raises(EmptyActiveSetError):
+            refine_pose(cset, shifted, RefineConfig(steps=10), tau=1e-6)
+
+
 def two_step_depths(camera, transform, points):
     """Depths from applying the pose, then the camera."""
     world = points @ transform.rotation.T + transform.translation
